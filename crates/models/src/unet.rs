@@ -25,7 +25,7 @@ use crate::Result;
 use invnorm_imc::injector::{ActivationNoise, NoiseHandle};
 use invnorm_nn::activation::Relu;
 use invnorm_nn::conv::Conv2d;
-use invnorm_nn::layer::{Layer, Mode, Param};
+use invnorm_nn::layer::{visit_nested, Layer, Mode, Param};
 use invnorm_nn::plan::{PlanArenas, PlanCodeView, PlanCtx, PlanParamView, PlanShape};
 use invnorm_nn::pool::MaxPool2d;
 use invnorm_nn::upsample::Upsample2d;
@@ -227,6 +227,15 @@ impl Layer for MicroUNet {
         self.enc2.visit_params(visitor);
         self.reduce.visit_params(visitor);
         self.fuse.visit_params(visitor);
+    }
+
+    fn visit_layers(&mut self, visitor: &mut dyn FnMut(&mut dyn Layer)) {
+        visit_nested(&mut self.enc1, visitor);
+        visit_nested(&mut self.pool, visitor);
+        visit_nested(&mut self.enc2, visitor);
+        visit_nested(&mut self.up, visitor);
+        visit_nested(&mut self.reduce, visitor);
+        visit_nested(&mut self.fuse, visitor);
     }
 
     fn plan_compile(&mut self, input: &PlanShape, arenas: &mut PlanArenas) -> Result<PlanShape> {

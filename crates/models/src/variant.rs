@@ -7,7 +7,7 @@ use invnorm_imc::injector::{ActivationNoise, NoiseHandle};
 use invnorm_nn::activation::{Relu, SignSte};
 use invnorm_nn::dropout::{Dropout, SpatialDropout};
 use invnorm_nn::layer::{
-    BatchedCodeView, BatchedParamView, BoxedLayer, CodeView, Layer, Mode, Param,
+    visit_nested, BatchedCodeView, BatchedParamView, BoxedLayer, CodeView, Layer, Mode, Param,
 };
 use invnorm_nn::norm::BatchNorm;
 use invnorm_nn::plan::{PlanArenas, PlanCodeView, PlanCtx, PlanParamView, PlanShape};
@@ -174,6 +174,10 @@ impl Layer for BuiltModel {
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {
         self.network.visit_params(visitor);
+    }
+
+    fn visit_layers(&mut self, visitor: &mut dyn FnMut(&mut dyn Layer)) {
+        visit_nested(self.network.as_mut(), visitor);
     }
 
     fn visit_codes(&mut self, visitor: &mut dyn FnMut(CodeView<'_>)) {

@@ -2,11 +2,11 @@
 //! [`invnorm_tensor::conv`].
 
 use crate::error::NnError;
-use crate::layer::{BatchedParam, BatchedParamView, Layer, Mode, Param};
+use crate::layer::{visit_nested, BatchedParam, BatchedParamView, Layer, Mode, Param};
 use crate::plan::{PlanArenas, PlanCtx, PlanParamView, PlanShape, PlannedWeight};
 use crate::Result;
 use invnorm_tensor::conv::{self, conv_out_shape, Conv2dSpec};
-use invnorm_tensor::gemm::{gemm_prepacked_ab, gemm_prepacked_b, PackedA};
+use invnorm_tensor::gemm::{gemm_prepacked_ab, gemm_prepacked_b, ASource, PackedA};
 use invnorm_tensor::telemetry;
 use invnorm_tensor::{ArenaSlot, Rng, Scratch, Tensor};
 
@@ -14,11 +14,13 @@ use invnorm_tensor::{ArenaSlot, Rng, Scratch, Tensor};
 ///
 /// Kaiming-uniform initialization, square kernels, symmetric padding.
 ///
-/// Evaluation-mode forwards run through the zero-alloc scratch path
-/// ([`conv::conv2d_forward_with_scratch`]): the im2col patch matrix and GEMM
-/// staging buffers are reused across calls, which is what the Monte-Carlo
+/// Evaluation-mode forwards run through the implicit-GEMM path
+/// ([`conv::conv2d_forward_with_scratch`]): receptive fields are gathered
+/// straight into the GEMM's packed panels, so no patch matrix is built, and
+/// the GEMM staging buffer is reused across calls — what the Monte-Carlo
 /// fault-simulation hot loop repeatedly exercises. Training-mode forwards
-/// retain the patch matrix for the backward pass as before.
+/// materialize the im2col patch matrix and retain it for the backward pass
+/// (the weight gradient needs it); both modes give bit-identical outputs.
 #[derive(Debug)]
 pub struct Conv2d {
     in_channels: usize,
@@ -33,13 +35,14 @@ pub struct Conv2d {
     plan: Option<Conv2dPlan>,
 }
 
-/// Compiled-plan state: arena slots for the im2col patch matrix and the
-/// GEMM staging buffer, the cached packed kernel operand with realization
-/// bookkeeping (one panel per stacked realization for batched plans), and
-/// the cached packed patch panel for frozen (run-invariant) inputs.
+/// Compiled-plan state: the arena slot of the GEMM staging buffer, the
+/// cached packed kernel operand with realization bookkeeping (one panel per
+/// stacked realization for batched plans), and the cached packed patch panel
+/// for frozen (run-invariant) inputs. Patches are gathered from the input
+/// edge straight into the packed A panels, so the plan holds no patch
+/// matrix.
 #[derive(Debug)]
 struct Conv2dPlan {
-    cols: ArenaSlot,
     om: ArenaSlot,
     weight: PlannedWeight,
     packed_a: PackedA,
@@ -48,7 +51,7 @@ struct Conv2dPlan {
     /// Stacked realizations per forward (1 for ordinary plans).
     batch: usize,
     /// Dims of one realization's tile of the stacked input edge (frozen
-    /// inputs unfold only the first tile — every tile is identical).
+    /// inputs pack only the first tile — every tile is identical).
     tile_dims: Vec<usize>,
 }
 
@@ -289,7 +292,6 @@ impl Layer for Conv2d {
         let mut tile_dims = input.dims.clone();
         tile_dims[0] /= batch;
         self.plan = Some(Conv2dPlan {
-            cols: arenas.f.reserve(shape.rows * shape.patch),
             // GEMM staging: sized for the fused wide `[rows/B, B·oc]`
             // product of a frozen layer; the per-realization path reuses
             // its `[rows/B, oc]` prefix across the stack.
@@ -323,47 +325,62 @@ impl Layer for Conv2d {
         let n_per = shape.n / batch;
         let rows_per = shape.rows / batch;
         let per_out = n_per * oc * shape.oh * shape.ow;
-        if ctx.frozen && batch > 1 {
-            // Fused wide product for the frozen first layer: the stacked
-            // input tiles are identical, so ONE cached patch panel meets the
-            // wide stacked kernel operand in a single `[rows, B·oc]` GEMM;
-            // the strided columns are then re-laid out per realization.
-            let wide_w = state.weight.refresh_wide();
-            let [x, cols, om, out] =
-                arenas
-                    .f
-                    .many_mut([input.slot, state.cols, state.om, output.slot]);
+        let tile_len: usize = state.tile_dims.iter().product();
+        let bias = self.bias.as_ref().map(|bias| &bias.value);
+        if ctx.frozen {
+            // Frozen plan input: gather + pack the first tile's patch panel
+            // once per `load_input` (every stacked tile is identical), then
+            // reuse it for every realization.
+            let wide_w = if batch > 1 {
+                Some(state.weight.refresh_wide())
+            } else {
+                state.weight.refresh_all();
+                None
+            };
+            let [x, om, out] = arenas.f.many_mut([input.slot, state.om, output.slot]);
             if state.a_gen != ctx.input_gen {
                 telemetry::count(telemetry::Counter::FrozenInputMisses, 1);
-                conv::im2col_slice_into(
-                    &x[..state.tile_dims.iter().product()],
-                    &state.tile_dims,
-                    &self.spec,
-                    &mut cols[..rows_per * shape.patch],
-                )?;
-                state.packed_a.pack(
-                    false,
-                    &cols[..rows_per * shape.patch],
-                    rows_per,
-                    shape.patch,
-                );
+                let patches = ASource::patches(&x[..tile_len], &state.tile_dims, &self.spec)?;
+                state.packed_a.pack(patches, rows_per, shape.patch);
                 state.a_gen = ctx.input_gen;
             } else {
                 telemetry::count(telemetry::Counter::FrozenInputHits, 1);
             }
-            telemetry::count(telemetry::Counter::WideGemms, 1);
-            gemm_prepacked_ab(&state.packed_a, wide_w, 1.0, 0.0, om);
-            for b in 0..batch {
-                conv::relayout_nchw_strided(
-                    om,
-                    batch * oc,
-                    b * oc,
-                    self.bias.as_ref().map(|bias| &bias.value),
+            if let Some(wide_w) = wide_w {
+                // Fused wide product: ONE cached patch panel meets the wide
+                // stacked kernel operand in a single `[rows, B·oc]` GEMM; the
+                // strided columns are then re-laid out per realization.
+                telemetry::count(telemetry::Counter::WideGemms, 1);
+                gemm_prepacked_ab(&state.packed_a, wide_w, 1.0, 0.0, om);
+                for b in 0..batch {
+                    conv::relayout_nchw_strided(
+                        om,
+                        batch * oc,
+                        b * oc,
+                        bias,
+                        n_per,
+                        oc,
+                        shape.oh,
+                        shape.ow,
+                        &mut out[b * per_out..][..per_out],
+                    );
+                }
+            } else {
+                gemm_prepacked_ab(
+                    &state.packed_a,
+                    state.weight.panel(0),
+                    1.0,
+                    0.0,
+                    &mut om[..rows_per * oc],
+                );
+                conv::relayout_nchw_into(
+                    &om[..rows_per * oc],
+                    bias,
                     n_per,
                     oc,
                     shape.oh,
                     shape.ow,
-                    &mut out[b * per_out..][..per_out],
+                    &mut out[..per_out],
                 );
             }
             return Ok(());
@@ -371,75 +388,30 @@ impl Layer for Conv2d {
         // Bring the cached packed operands up to date with this realization
         // batch (cell scatter / dirty-row re-packing / uniform-scale).
         state.weight.refresh_all();
-        let [x, cols, om, out] = arenas
-            .f
-            .many_mut([input.slot, state.cols, state.om, output.slot]);
-        if ctx.frozen {
-            // Frozen plan input: unfold + pack the patch panel once per
-            // `load_input`, then reuse it for every realization.
-            if state.a_gen != ctx.input_gen {
-                telemetry::count(telemetry::Counter::FrozenInputMisses, 1);
-                conv::im2col_slice_into(
-                    &x[..state.tile_dims.iter().product()],
-                    &state.tile_dims,
-                    &self.spec,
-                    &mut cols[..rows_per * shape.patch],
-                )?;
-                state.packed_a.pack(
-                    false,
-                    &cols[..rows_per * shape.patch],
-                    rows_per,
-                    shape.patch,
-                );
-                state.a_gen = ctx.input_gen;
-            } else {
-                telemetry::count(telemetry::Counter::FrozenInputHits, 1);
-            }
-            for b in 0..batch {
-                gemm_prepacked_ab(
-                    &state.packed_a,
-                    state.weight.panel(b),
-                    1.0,
-                    0.0,
-                    &mut om[..rows_per * oc],
-                );
-                conv::relayout_nchw_into(
-                    &om[..rows_per * oc],
-                    self.bias.as_ref().map(|bias| &bias.value),
-                    n_per,
-                    oc,
-                    shape.oh,
-                    shape.ow,
-                    &mut out[b * per_out..][..per_out],
-                );
-            }
-        } else {
-            // Per-realization inputs: one unfold of the whole stacked batch
-            // (im2col is per-sample, so this equals per-realization
-            // unfolds), then each realization multiplies its own row block
-            // against its own cached panel.
-            conv::im2col_slice_into(x, &input.dims, &self.spec, cols)?;
-            for b in 0..batch {
-                gemm_prepacked_b(
-                    false,
-                    rows_per,
-                    1.0,
-                    &cols[b * rows_per * shape.patch..][..rows_per * shape.patch],
-                    state.weight.panel(b),
-                    0.0,
-                    &mut om[..rows_per * oc],
-                    &mut state.plan_scratch,
-                );
-                conv::relayout_nchw_into(
-                    &om[..rows_per * oc],
-                    self.bias.as_ref().map(|bias| &bias.value),
-                    n_per,
-                    oc,
-                    shape.oh,
-                    shape.ow,
-                    &mut out[b * per_out..][..per_out],
-                );
-            }
+        let [x, om, out] = arenas.f.many_mut([input.slot, state.om, output.slot]);
+        // Per-realization inputs: each realization gathers its own input
+        // tile's patches inside its GEMM against its own cached panel.
+        for b in 0..batch {
+            let patches =
+                ASource::patches(&x[b * tile_len..][..tile_len], &state.tile_dims, &self.spec)?;
+            gemm_prepacked_b(
+                patches,
+                rows_per,
+                1.0,
+                state.weight.panel(b),
+                0.0,
+                &mut om[..rows_per * oc],
+                &mut state.plan_scratch,
+            );
+            conv::relayout_nchw_into(
+                &om[..rows_per * oc],
+                bias,
+                n_per,
+                oc,
+                shape.oh,
+                shape.ow,
+                &mut out[b * per_out..][..per_out],
+            );
         }
         Ok(())
     }
@@ -600,6 +572,10 @@ impl Layer for Conv1d {
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {
         self.inner.visit_params(visitor);
+    }
+
+    fn visit_layers(&mut self, visitor: &mut dyn FnMut(&mut dyn Layer)) {
+        visit_nested(&mut self.inner, visitor);
     }
 
     fn plan_compile(&mut self, input: &PlanShape, arenas: &mut PlanArenas) -> Result<PlanShape> {

@@ -272,6 +272,13 @@ pub trait Layer {
         let _ = visitor;
     }
 
+    /// Calls `visitor` on every layer nested inside this one, depth-first,
+    /// each before its own nested layers (see [`visit_nested`]). Leaf layers
+    /// hold none; containers override this.
+    fn visit_layers(&mut self, visitor: &mut dyn FnMut(&mut dyn Layer)) {
+        let _ = visitor;
+    }
+
     /// Visits every quantized weight's integer codes (used by code-domain
     /// fault injectors). Float layers have none; quantized layers and
     /// containers override this.
@@ -422,6 +429,13 @@ pub trait Layer {
 
 /// A boxed layer, the unit networks are assembled from.
 pub type BoxedLayer = Box<dyn Layer + Send>;
+
+/// Visits `layer`, then the layers nested inside it: the recursion step
+/// containers use to implement [`Layer::visit_layers`].
+pub fn visit_nested(layer: &mut dyn Layer, visitor: &mut dyn FnMut(&mut dyn Layer)) {
+    visitor(&mut *layer);
+    layer.visit_layers(visitor);
+}
 
 #[cfg(test)]
 mod tests {

@@ -4,7 +4,7 @@ use crate::error::NnError;
 use crate::layer::{BatchedParam, BatchedParamView, Layer, Mode, Param};
 use crate::plan::{PlanArenas, PlanCtx, PlanParamView, PlanShape, PlannedWeight};
 use crate::Result;
-use invnorm_tensor::gemm::{gemm_prepacked, gemm_prepacked_ab, gemm_prepacked_b, PackedA};
+use invnorm_tensor::gemm::{gemm_prepacked, gemm_prepacked_ab, gemm_prepacked_b, ASource, PackedA};
 use invnorm_tensor::telemetry;
 use invnorm_tensor::{ops, ArenaSlot, Rng, Scratch, Tensor};
 
@@ -284,7 +284,11 @@ impl Layer for Linear {
             }
         } else {
             for b in 0..batch {
-                packed.pack(false, &input.data()[b * n * fin..][..n * fin], n, fin);
+                packed.pack(
+                    ASource::Rows(&input.data()[b * n * fin..][..n * fin]),
+                    n,
+                    fin,
+                );
                 // y_b = x_b W_bᵀ : same shape and accumulation order as the
                 // sequential `ops::matmul_a_bt`, so each realization is
                 // bit-identical to a sequential forward on its weights.
@@ -365,7 +369,7 @@ impl Layer for Linear {
                 .many_mut([input.slot, state.wide_stage, output.slot]);
             if state.a_gen != ctx.input_gen {
                 telemetry::count(telemetry::Counter::FrozenInputMisses, 1);
-                state.packed_a.pack(false, &x[..n * fin], n, fin);
+                state.packed_a.pack(ASource::Rows(&x[..n * fin]), n, fin);
                 state.a_gen = ctx.input_gen;
             } else {
                 telemetry::count(telemetry::Counter::FrozenInputHits, 1);
@@ -399,7 +403,7 @@ impl Layer for Linear {
             // one cached weight panel.
             if state.a_gen != ctx.input_gen {
                 telemetry::count(telemetry::Counter::FrozenInputMisses, 1);
-                state.packed_a.pack(false, &x[..n * fin], n, fin);
+                state.packed_a.pack(ASource::Rows(&x[..n * fin]), n, fin);
                 state.a_gen = ctx.input_gen;
             } else {
                 telemetry::count(telemetry::Counter::FrozenInputHits, 1);
@@ -416,10 +420,9 @@ impl Layer for Linear {
         } else {
             for b in 0..batch {
                 gemm_prepacked_b(
-                    false,
+                    ASource::Rows(&x[b * n * fin..][..n * fin]),
                     n,
                     1.0,
-                    &x[b * n * fin..][..n * fin],
                     state.weight.panel(b),
                     0.0,
                     &mut out[b * n * fout..][..n * fout],

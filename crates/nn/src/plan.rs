@@ -74,7 +74,7 @@ pub enum FaultLifetime {
 /// quantization codes and i32 accumulators each live in a single allocation.
 #[derive(Debug)]
 pub struct PlanArenas {
-    /// f32 activations, im2col patch matrices and GEMM staging.
+    /// f32 activations and GEMM staging.
     pub f: Arena<f32>,
     /// i8 activation codes and code-domain patch matrices.
     pub q: Arena<i8>,

@@ -2,7 +2,9 @@
 //! [`Residual`] skip-connection combinator used by the residual CNN.
 
 use crate::error::NnError;
-use crate::layer::{BatchedCodeView, BatchedParamView, BoxedLayer, CodeView, Layer, Mode, Param};
+use crate::layer::{
+    visit_nested, BatchedCodeView, BatchedParamView, BoxedLayer, CodeView, Layer, Mode, Param,
+};
 use crate::plan::{PlanArenas, PlanCodeView, PlanCtx, PlanParamView, PlanShape};
 use crate::Result;
 use invnorm_tensor::Tensor;
@@ -125,6 +127,12 @@ impl Layer for Sequential {
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {
         for layer in &mut self.layers {
             layer.visit_params(visitor);
+        }
+    }
+
+    fn visit_layers(&mut self, visitor: &mut dyn FnMut(&mut dyn Layer)) {
+        for layer in &mut self.layers {
+            visit_nested(layer.as_mut(), visitor);
         }
     }
 
@@ -370,6 +378,16 @@ impl Layer for Residual {
         }
         if let Some(post) = &mut self.post {
             post.visit_params(visitor);
+        }
+    }
+
+    fn visit_layers(&mut self, visitor: &mut dyn FnMut(&mut dyn Layer)) {
+        visit_nested(&mut self.main, visitor);
+        if let Some(shortcut) = &mut self.shortcut {
+            visit_nested(shortcut, visitor);
+        }
+        if let Some(post) = &mut self.post {
+            visit_nested(post.as_mut(), visitor);
         }
     }
 

@@ -1,8 +1,17 @@
-//! Convolution kernels (1-D and 2-D) based on im2col/col2im.
+//! Convolution kernels (1-D and 2-D) lowered to GEMM.
 //!
 //! Layouts follow the deep-learning convention used throughout the paper:
 //! 2-D activations are `[N, C, H, W]`, 1-D activations are `[N, C, L]`,
 //! 2-D kernels are `[OutC, InC, KH, KW]` and 1-D kernels are `[OutC, InC, K]`.
+//!
+//! Inference ([`conv2d_forward_with_scratch`], and the compiled plans of
+//! `invnorm_nn`) uses the *implicit* lowering: the GEMM reads its A operand
+//! through [`ASource::patches`] and gathers every receptive-field patch
+//! straight into its packed strips, so no `[N·OH·OW, C·KH·KW]` patch matrix
+//! is ever materialized. The explicit [`im2col`]/[`col2im`] pair remains for
+//! training, whose weight gradient needs the patch matrix, for the batched
+//! engine ([`conv2d_forward_batched`]) and for the i8 quantized path. Both
+//! lowerings pack identical bytes, so their results are bit-identical.
 //!
 //! Both the forward products and the three gradient products needed for a
 //! hand-written backward pass (`∂L/∂input`, `∂L/∂weight`, `∂L/∂bias`) are
@@ -10,7 +19,7 @@
 //! with height 1 so there is a single, well-tested code path.
 
 use crate::error::TensorError;
-use crate::gemm::{gemm_prepacked, PackedA};
+use crate::gemm::{gemm_from, gemm_prepacked, ASource, PackedA, PatchView};
 use crate::ops;
 use crate::scratch::{uninit_slice, Scratch};
 use crate::telemetry;
@@ -140,7 +149,7 @@ pub fn im2col(input: &Tensor, spec: &Conv2dSpec) -> Result<Tensor> {
 
 /// [`im2col`] into a caller-provided buffer of exactly
 /// `N*OH*OW × C*KH*KW` elements (every element is overwritten), so repeated
-/// forward passes can reuse one allocation — see [`conv2d_forward_with_scratch`].
+/// forward passes can reuse one allocation — see [`conv2d_forward_batched`].
 ///
 /// # Errors
 ///
@@ -184,8 +193,8 @@ pub fn im2col_codes_into(
 }
 
 /// [`im2col_into`] over a raw element slice in NCHW layout — the entry point
-/// compiled plans use to unfold activations living in arena buffers without
-/// materializing a tensor. Element-type generic (f32 activations, i8 codes).
+/// the quantized compiled plans use to unfold i8 codes living in arena
+/// buffers without materializing a tensor. Element-type generic.
 ///
 /// # Errors
 ///
@@ -211,6 +220,32 @@ pub fn im2col_slice_into<T: Copy + Default>(
         });
     }
     im2col_generic(data, n, c, h, w, spec, cols)
+}
+
+impl<'a> ASource<'a> {
+    /// The implicit im2col matrix of an `[N, C, H, W]` activation under
+    /// `spec` (`[N·OH·OW, C·KH·KW]`, see [`ASource::Patches`]): a GEMM over
+    /// it equals a GEMM over [`im2col`]`(data)`, bit for bit, without the
+    /// patch matrix ever existing.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when `dims` is not rank-4, `data` does not hold
+    /// `N·C·H·W` elements or the geometry is invalid.
+    pub fn patches(data: &'a [f32], dims: &[usize], spec: &Conv2dSpec) -> Result<Self> {
+        let shape = conv_out_shape(dims, spec)?;
+        if data.len() != dims.iter().product::<usize>() {
+            return Err(TensorError::ShapeMismatch {
+                lhs: dims.to_vec(),
+                rhs: vec![data.len()],
+            });
+        }
+        Ok(Self::Patches(PatchView {
+            data,
+            shape,
+            spec: *spec,
+        }))
+    }
 }
 
 /// Element-type-generic patch unfolding shared by the f32 and i8 paths.
@@ -357,57 +392,79 @@ pub struct Conv2dGrads {
     pub grad_bias: Tensor,
 }
 
-/// 2-D convolution forward pass.
+/// Validates a convolution's weight dims and bias length against an
+/// `[N, C, H, W]` input and `spec`; returns the geometry and the output
+/// channel count.
+fn conv_geometry(
+    input_dims: &[usize],
+    weight_dims: &[usize],
+    bias: Option<&Tensor>,
+    spec: &Conv2dSpec,
+) -> Result<(ConvShape, usize)> {
+    let shape = conv_out_shape(input_dims, spec)?;
+    let &[oc, wc, wkh, wkw] = weight_dims else {
+        return Err(TensorError::RankMismatch {
+            expected: 4,
+            actual: weight_dims.len(),
+        });
+    };
+    if wc != shape.c || wkh != spec.kh || wkw != spec.kw {
+        return Err(TensorError::InvalidArgument(format!(
+            "weight shape {weight_dims:?} inconsistent with input channels {} and kernel {}x{}",
+            shape.c, spec.kh, spec.kw
+        )));
+    }
+    if let Some(b) = bias.filter(|b| b.numel() != oc) {
+        return Err(TensorError::ShapeMismatch {
+            lhs: vec![oc],
+            rhs: b.dims().to_vec(),
+        });
+    }
+    Ok((shape, oc))
+}
+
+/// 2-D convolution forward pass for training: materializes the im2col
+/// patch matrix and returns it for [`conv2d_backward`].
 ///
 /// `input` is `[N, InC, H, W]`, `weight` is `[OutC, InC, KH, KW]` and `bias`
 /// (if given) is `[OutC]`.
 ///
 /// # Errors
 ///
-/// Returns an error when shapes are inconsistent with `spec`.
+/// Returns an error when shapes are inconsistent with `spec` or the bias
+/// length is not `OutC`.
 pub fn conv2d_forward(
     input: &Tensor,
     weight: &Tensor,
     bias: Option<&Tensor>,
     spec: &Conv2dSpec,
 ) -> Result<Conv2dForward> {
-    let (n, c, h, w) = as_nchw(input)?;
-    let wd = weight.dims();
-    if wd.len() != 4 {
-        return Err(TensorError::RankMismatch {
-            expected: 4,
-            actual: wd.len(),
-        });
-    }
-    let (oc, wc, wkh, wkw) = (wd[0], wd[1], wd[2], wd[3]);
-    if wc != c || wkh != spec.kh || wkw != spec.kw {
-        return Err(TensorError::InvalidArgument(format!(
-            "weight shape {wd:?} inconsistent with input channels {c} and kernel {}x{}",
-            spec.kh, spec.kw
-        )));
-    }
-    let (oh, ow) = spec.output_hw(h, w)?;
+    let (shape, oc) = conv_geometry(input.dims(), weight.dims(), bias, spec)?;
     let cols = im2col(input, spec)?;
-    let weight_mat = weight.reshape(&[oc, c * spec.kh * spec.kw])?;
+    let weight_mat = weight.reshape(&[oc, shape.patch])?;
     // [N*OH*OW, patch] @ [patch, OC] -> [N*OH*OW, OC]
     let out_mat = ops::matmul_a_bt(&cols, &weight_mat)?;
-    let out = relayout_nchw(out_mat.data(), bias, n, oc, oh, ow);
+    let out = relayout_nchw(out_mat.data(), bias, shape.n, oc, shape.oh, shape.ow);
     Ok(Conv2dForward {
-        output: Tensor::from_vec(out, &[n, oc, oh, ow])?,
+        output: Tensor::from_vec(out, &shape.output_dims(oc))?,
         cols,
     })
 }
 
-/// 2-D convolution forward pass for inference hot loops: identical math to
-/// [`conv2d_forward`], but the im2col patch matrix and the GEMM staging
-/// buffer live in the caller's [`Scratch`] (and the GEMM packing buffers in
-/// a thread-local one), so steady-state calls only allocate the returned
-/// output tensor. No patch matrix is retained — use [`conv2d_forward`] when
-/// a backward pass will follow.
+/// 2-D convolution forward pass for inference: the implicit-GEMM lowering.
+///
+/// Same math as [`conv2d_forward`], and bit-identical to it, but no patch
+/// matrix is built: the GEMM gathers each receptive field from `input`
+/// straight into its packed A strips ([`ASource::patches`]), inside the
+/// parallel row-block workers for large products. The GEMM staging buffer
+/// lives in the caller's [`Scratch`] (the packing buffers in a thread-local
+/// one), so steady-state calls only allocate the returned output tensor.
+/// Use [`conv2d_forward`] when a backward pass will follow.
 ///
 /// # Errors
 ///
-/// Returns an error when shapes are inconsistent with `spec`.
+/// Returns an error when shapes are inconsistent with `spec` or the bias
+/// length is not `OutC`.
 pub fn conv2d_forward_with_scratch(
     input: &Tensor,
     weight: &Tensor,
@@ -415,46 +472,23 @@ pub fn conv2d_forward_with_scratch(
     spec: &Conv2dSpec,
     scratch: &mut Scratch,
 ) -> Result<Tensor> {
-    let (n, c, _, _) = as_nchw(input)?;
-    let wd = weight.dims();
-    if wd.len() != 4 {
-        return Err(TensorError::RankMismatch {
-            expected: 4,
-            actual: wd.len(),
-        });
-    }
-    let (oc, wc, wkh, wkw) = (wd[0], wd[1], wd[2], wd[3]);
-    if wc != c || wkh != spec.kh || wkw != spec.kw {
-        return Err(TensorError::InvalidArgument(format!(
-            "weight shape {wd:?} inconsistent with input channels {c} and kernel {}x{}",
-            spec.kh, spec.kw
-        )));
-    }
-    let ConvShape {
-        oh,
-        ow,
-        patch,
-        rows,
-        ..
-    } = conv_out_shape(input.dims(), spec)?;
-    let cols = uninit_slice(&mut scratch.cols, rows * patch);
-    im2col_into(input, spec, cols)?;
+    let (shape, oc) = conv_geometry(input.dims(), weight.dims(), bias, spec)?;
+    let patches = ASource::patches(input.data(), input.dims(), spec)?;
     // [rows, patch] @ [oc, patch]ᵀ -> [rows, oc]
-    let out_mat = uninit_slice(&mut scratch.out_mat, rows * oc);
-    ops::gemm(
-        false,
+    let out_mat = uninit_slice(&mut scratch.out_mat, shape.rows * oc);
+    gemm_from(
+        patches,
         true,
-        rows,
+        shape.rows,
         oc,
-        patch,
+        shape.patch,
         1.0,
-        cols,
         weight.data(),
         0.0,
         out_mat,
     );
-    let out = relayout_nchw(out_mat, bias, n, oc, oh, ow);
-    Tensor::from_vec(out, &[n, oc, oh, ow])
+    let out = relayout_nchw(out_mat, bias, shape.n, oc, shape.oh, shape.ow);
+    Tensor::from_vec(out, &shape.output_dims(oc))
 }
 
 /// Re-layouts a `[N*OH*OW, OC]` GEMM result into `[N, OC, OH, OW]`, adding
@@ -540,8 +574,9 @@ pub fn relayout_nchw_strided(
 ///
 /// # Errors
 ///
-/// Returns an error when shapes are inconsistent with `spec`, the stacked
-/// weight length is not `batch` realizations, or (for `shared == false`) the
+/// Returns an error when shapes are inconsistent with `spec`, the bias
+/// length is not `OC`, the stacked weight length is not `batch`
+/// realizations, or (for `shared == false`) the
 /// leading input dimension is not divisible by `batch`.
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d_forward_batched(
@@ -555,31 +590,14 @@ pub fn conv2d_forward_batched(
     packed: &mut PackedA,
     scratch: &mut Scratch,
 ) -> Result<Tensor> {
-    let (n_total, c, _, _) = as_nchw(input)?;
-    if weight_dims.len() != 4 {
-        return Err(TensorError::RankMismatch {
-            expected: 4,
-            actual: weight_dims.len(),
-        });
-    }
-    let (oc, wc, wkh, wkw) = (
-        weight_dims[0],
-        weight_dims[1],
-        weight_dims[2],
-        weight_dims[3],
-    );
-    if wc != c || wkh != spec.kh || wkw != spec.kw {
-        return Err(TensorError::InvalidArgument(format!(
-            "weight shape {weight_dims:?} inconsistent with input channels {c} and kernel {}x{}",
-            spec.kh, spec.kw
-        )));
-    }
+    let (shape, oc) = conv_geometry(input.dims(), weight_dims, bias, spec)?;
     if batch == 0 {
         return Err(TensorError::InvalidArgument(
             "batched conv needs batch >= 1".into(),
         ));
     }
-    let per_w = oc * c * spec.kh * spec.kw;
+    let (n_total, patch) = (shape.n, shape.patch);
+    let per_w = oc * patch;
     if stacked_weight.len() != batch * per_w {
         return Err(TensorError::ShapeMismatch {
             lhs: vec![batch, per_w],
@@ -596,7 +614,7 @@ pub fn conv2d_forward_batched(
         }
         n_total / batch
     };
-    let ConvShape { oh, ow, patch, .. } = conv_out_shape(input.dims(), spec)?;
+    let (oh, ow) = (shape.oh, shape.ow);
     let rows_per = n_per * oh * ow;
     let per_out = n_per * oc * oh * ow;
     let mut out = vec![0.0f32; batch * per_out];
@@ -653,8 +671,7 @@ pub fn conv2d_forward_batched(
         let om = uninit_slice(om_buf, rows_per * oc);
         for b in 0..batch {
             packed.pack(
-                false,
-                &cols[b * rows_per * patch..][..rows_per * patch],
+                ASource::Rows(&cols[b * rows_per * patch..][..rows_per * patch]),
                 rows_per,
                 patch,
             );
@@ -1074,6 +1091,69 @@ mod tests {
         assert!(conv2d_forward(&input, &weight, None, &spec).is_err());
         let mut scratch = Scratch::new();
         assert!(conv2d_forward_with_scratch(&input, &weight, None, &spec, &mut scratch).is_err());
+    }
+
+    /// A `[2]` bias on a 3-output-channel conv: a shape error, not a panic.
+    fn assert_short_bias_rejected(result: Result<Tensor>) {
+        assert!(
+            matches!(result, Err(TensorError::ShapeMismatch { ref lhs, ref rhs })
+                if lhs == &[3] && rhs == &[2]),
+            "{result:?}"
+        );
+    }
+
+    #[test]
+    fn conv2d_forward_rejects_short_bias() {
+        let spec = Conv2dSpec::new(3, 1, 1);
+        let (input, weight) = (Tensor::zeros(&[1, 2, 5, 5]), Tensor::zeros(&[3, 2, 3, 3]));
+        let bias = Tensor::zeros(&[2]);
+        assert_short_bias_rejected(
+            conv2d_forward(&input, &weight, Some(&bias), &spec).map(|f| f.output),
+        );
+    }
+
+    #[test]
+    fn conv2d_forward_with_scratch_rejects_short_bias() {
+        let spec = Conv2dSpec::new(3, 1, 1);
+        let (input, weight) = (Tensor::zeros(&[1, 2, 5, 5]), Tensor::zeros(&[3, 2, 3, 3]));
+        let bias = Tensor::zeros(&[2]);
+        let mut scratch = Scratch::new();
+        assert_short_bias_rejected(conv2d_forward_with_scratch(
+            &input,
+            &weight,
+            Some(&bias),
+            &spec,
+            &mut scratch,
+        ));
+    }
+
+    #[test]
+    fn conv2d_forward_batched_rejects_short_bias() {
+        let spec = Conv2dSpec::new(3, 1, 1);
+        let input = Tensor::zeros(&[1, 2, 5, 5]);
+        let stacked = vec![0.0f32; 2 * 3 * 2 * 3 * 3];
+        let bias = Tensor::zeros(&[2]);
+        let (mut packed, mut scratch) = (PackedA::new(), Scratch::new());
+        assert_short_bias_rejected(conv2d_forward_batched(
+            &input,
+            true,
+            2,
+            &stacked,
+            &[3, 2, 3, 3],
+            Some(&bias),
+            &spec,
+            &mut packed,
+            &mut scratch,
+        ));
+    }
+
+    #[test]
+    fn patch_source_validates_its_activation() {
+        let spec = Conv2dSpec::new(3, 1, 1);
+        assert!(ASource::patches(&[0.0; 50], &[1, 2, 5, 5], &spec).is_ok());
+        assert!(ASource::patches(&[0.0; 49], &[1, 2, 5, 5], &spec).is_err());
+        assert!(ASource::patches(&[0.0; 50], &[2, 5, 5], &spec).is_err());
+        assert!(ASource::patches(&[0.0; 4], &[1, 1, 2, 2], &Conv2dSpec::new(5, 1, 0)).is_err());
     }
 
     #[test]

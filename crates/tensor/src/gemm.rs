@@ -22,7 +22,11 @@
 //!
 //! Both operands are packed into contiguous, tile-major buffers before the
 //! microkernel runs, with edge tiles zero-padded so the microkernel never
-//! needs bounds checks. Packing buffers come from a caller-supplied
+//! needs bounds checks. The A operand is read through an [`ASource`]: a
+//! dense (optionally transposed) matrix, or the *implicit* im2col matrix of
+//! an NCHW activation, whose patch rows are gathered straight into the
+//! packed strips without ever materializing the patch matrix (the implicit
+//! lowering of cuDNN, Chetlur et al., arXiv:1410.0759). Packing buffers come from a caller-supplied
 //! [`Scratch`] (or a thread-local one for the convenience entry point), so
 //! steady-state calls allocate nothing.
 //!
@@ -39,6 +43,7 @@
 //! lint: no_alloc
 
 use crate::arena::DirtyRows;
+use crate::conv::{Conv2dSpec, ConvShape};
 use crate::dispatch::{self, KernelTier};
 use crate::scratch::{uninit_slice, Scratch};
 use crate::telemetry;
@@ -59,6 +64,10 @@ const PARALLEL_FLOP_THRESHOLD: usize = 1 << 21;
 /// Elements in the largest microkernel tile (AVX-512's 14×32); sizes the
 /// stack accumulator every tier writes a prefix of.
 const MAX_TILE: usize = 14 * 32;
+
+/// Rows in the tallest microkernel tile (AVX-512's 14); sizes the per-strip
+/// stack tables of the implicit im2col packer.
+const MAX_MR: usize = 14;
 
 /// A microkernel: computes the full `mr × nr` register tile over one packed
 /// k-panel and writes it row-major (leading dimension `nr`) into `acc`,
@@ -121,6 +130,60 @@ pub(crate) fn f32_kernel(tier: KernelTier) -> F32Kernel {
     }
 }
 
+/// Where the GEMM reads its `op(A)` operand (`[m, k]`) from when packing
+/// A strips.
+///
+/// Every source packs to the same strip layout, so the microkernel sees
+/// identical bytes whichever source supplied them: a product through
+/// [`ASource::Patches`] is **bit-identical** to the same product over the
+/// materialized [`crate::conv::im2col`] matrix.
+#[derive(Debug, Clone, Copy)]
+pub enum ASource<'a> {
+    /// `A` stored row-major as `[m, k]`.
+    Rows(&'a [f32]),
+    /// `A` stored transposed, as `[k, m]`.
+    Transposed(&'a [f32]),
+    /// The implicit im2col matrix of an NCHW activation: row `i` is the
+    /// zero-padded receptive-field patch of output position `i`
+    /// (`m = N·OH·OW`, `k = C·KH·KW`). Built by [`ASource::patches`].
+    Patches(PatchView<'a>),
+}
+
+/// An NCHW activation viewed as its im2col patch matrix (see
+/// [`ASource::Patches`]); the geometry was validated on construction.
+#[derive(Debug, Clone, Copy)]
+pub struct PatchView<'a> {
+    pub(crate) data: &'a [f32],
+    pub(crate) shape: ConvShape,
+    pub(crate) spec: Conv2dSpec,
+}
+
+impl<'a> ASource<'a> {
+    /// A dense operand: `A` (`[m, k]`), or `Aᵀ` stored `[k, m]` when
+    /// `trans_a`.
+    pub fn matrix(trans_a: bool, a: &'a [f32]) -> Self {
+        if trans_a {
+            Self::Transposed(a)
+        } else {
+            Self::Rows(a)
+        }
+    }
+
+    /// Asserts that the source is an `[m, k]` operand.
+    fn check(&self, m: usize, k: usize) {
+        match self {
+            Self::Rows(a) | Self::Transposed(a) => {
+                assert_eq!(a.len(), m * k, "A must hold m*k elements");
+            }
+            Self::Patches(p) => assert_eq!(
+                (p.shape.rows, p.shape.patch),
+                (m, k),
+                "patch matrix must be [m, k]"
+            ),
+        }
+    }
+}
+
 thread_local! {
     static LOCAL_SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::new());
 }
@@ -136,7 +199,8 @@ thread_local! {
 ///
 /// Packing buffers are borrowed from a thread-local [`Scratch`]; use
 /// [`gemm_with_scratch`] to supply your own. Large products run in parallel;
-/// results are bit-identical for every thread count.
+/// results are bit-identical for every thread count. [`gemm_from`] is the
+/// same product over any [`ASource`].
 ///
 /// # Panics
 ///
@@ -154,8 +218,41 @@ pub fn gemm(
     beta: f32,
     c: &mut [f32],
 ) {
+    gemm_from(
+        ASource::matrix(trans_a, a),
+        trans_b,
+        m,
+        n,
+        k,
+        alpha,
+        b,
+        beta,
+        c,
+    );
+}
+
+/// [`gemm`] with `op(A)` read from an [`ASource`]. For
+/// [`ASource::Patches`] this is the implicit-GEMM convolution: patches are
+/// gathered from the activation inside the packing step (in parallel, by the
+/// row-block workers, for large products).
+///
+/// # Panics
+///
+/// Panics when a slice length disagrees with the given dimensions.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_from(
+    a: ASource<'_>,
+    trans_b: bool,
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f32,
+    b: &[f32],
+    beta: f32,
+    c: &mut [f32],
+) {
     let _span = telemetry::span(telemetry::Phase::Gemm);
-    check_dims(m, n, k, a, b, c);
+    check_dims(&a, m, n, k, b, c);
     if m == 0 || n == 0 {
         return;
     }
@@ -167,20 +264,17 @@ pub fn gemm(
     let row_blocks = m.div_ceil(MC);
     let workers = rayon::current_num_threads().min(row_blocks);
     if workers > 1 && m * n * k >= PARALLEL_FLOP_THRESHOLD {
-        gemm_parallel(
-            &kern, trans_a, trans_b, m, n, k, alpha, a, b, beta, c, workers,
-        );
+        gemm_parallel(&kern, a, trans_b, m, n, k, alpha, b, beta, c, workers);
     } else {
         LOCAL_SCRATCH.with(|s| {
             gemm_with_scratch_impl(
                 &kern,
-                trans_a,
+                a,
                 trans_b,
                 m,
                 n,
                 k,
                 alpha,
-                a,
                 b,
                 beta,
                 c,
@@ -190,17 +284,16 @@ pub fn gemm(
     }
 }
 
-/// Single-threaded [`gemm`] with an explicit packing workspace, for callers
-/// that manage buffer reuse themselves (layers, the conv path).
+/// Single-threaded [`gemm_from`] with an explicit packing workspace, for
+/// callers that manage buffer reuse themselves (layers, the conv path).
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_with_scratch(
-    trans_a: bool,
+    a: ASource<'_>,
     trans_b: bool,
     m: usize,
     n: usize,
     k: usize,
     alpha: f32,
-    a: &[f32],
     b: &[f32],
     beta: f32,
     c: &mut [f32],
@@ -208,29 +301,27 @@ pub fn gemm_with_scratch(
 ) {
     let _span = telemetry::span(telemetry::Phase::Gemm);
     let kern = f32_kernel(dispatch::active());
-    gemm_with_scratch_impl(
-        &kern, trans_a, trans_b, m, n, k, alpha, a, b, beta, c, scratch,
-    );
+    gemm_with_scratch_impl(&kern, a, trans_b, m, n, k, alpha, b, beta, c, scratch);
 }
 
-/// Shared body of [`gemm`]'s single-threaded path and [`gemm_with_scratch`],
-/// so each public entry opens exactly one telemetry span.
+/// Shared body of [`gemm_from`]'s single-threaded path and
+/// [`gemm_with_scratch`], so each public entry opens exactly one telemetry
+/// span.
 #[allow(clippy::too_many_arguments)]
 fn gemm_with_scratch_impl(
     kern: &F32Kernel,
-    trans_a: bool,
+    a: ASource<'_>,
     trans_b: bool,
     m: usize,
     n: usize,
     k: usize,
     alpha: f32,
-    a: &[f32],
     b: &[f32],
     beta: f32,
     c: &mut [f32],
     scratch: &mut Scratch,
 ) {
-    check_dims(m, n, k, a, b, c);
+    check_dims(&a, m, n, k, b, c);
     if m == 0 || n == 0 {
         return;
     }
@@ -249,7 +340,7 @@ fn gemm_with_scratch_impl(
             let beta_block = if pc == 0 { beta } else { 1.0 };
             for ic in (0..m).step_by(MC) {
                 let mc = MC.min(m - ic);
-                pack_a(mr, trans_a, a, m, k, ic, mc, pc, kc, packed_a);
+                pack_a(mr, a, m, k, ic, mc, pc, kc, packed_a);
                 block_kernel(
                     kern, packed_a, packed_b, c, n, ic, mc, jc, nc, kc, alpha, beta_block,
                 );
@@ -259,21 +350,21 @@ fn gemm_with_scratch_impl(
 }
 
 /// Work-stealing parallel path: row blocks are claimed from an atomic
-/// counter; each worker packs its own A blocks, while the packed B panel for
-/// the current `(jc, pc)` stage is shared read-only across workers.
+/// counter; each worker packs (for a patch source: gathers) its own A
+/// blocks, while the packed B panel for the current `(jc, pc)` stage is
+/// shared read-only across workers.
 // lint: alloc_ok(per-call packing scratch: one shared B panel plus one A
 // panel per worker, allocated at entry — steady-state callers go through
 // `PackedA`/`PackedB` plans that hoist even these)
 #[allow(clippy::too_many_arguments)]
 fn gemm_parallel(
     kern: &F32Kernel,
-    trans_a: bool,
+    a: ASource<'_>,
     trans_b: bool,
     m: usize,
     n: usize,
     k: usize,
     alpha: f32,
-    a: &[f32],
     b: &[f32],
     beta: f32,
     c: &mut [f32],
@@ -305,7 +396,7 @@ fn gemm_parallel(
                             }
                             let ic = blk * MC;
                             let mc = MC.min(m - ic);
-                            pack_a(mr, trans_a, a, m, k, ic, mc, pc, kc, &mut packed_a);
+                            pack_a(mr, a, m, k, ic, mc, pc, kc, &mut packed_a);
                             // SAFETY: each row block `[ic, ic+mc)` is claimed
                             // by exactly one worker (atomic counter), so the
                             // C rows written here are disjoint between
@@ -387,18 +478,24 @@ impl PackedA {
         self.tier
     }
 
-    /// Packs `op(A)` (`[m, k]`, or stored `[k, m]` when `trans_a`) in full.
+    /// Packs the `[m, k]` operand read from `a` in full, for the active
+    /// kernel tier.
     ///
     /// # Panics
     ///
-    /// Panics when the slice length disagrees with `m * k`.
-    pub fn pack(&mut self, trans_a: bool, a: &[f32], m: usize, k: usize) {
+    /// Panics when the source disagrees with `m × k`.
+    pub fn pack(&mut self, a: ASource<'_>, m: usize, k: usize) {
+        self.pack_for(dispatch::active(), a, m, k);
+    }
+
+    /// [`PackedA::pack`] for an explicit kernel tier's strip layout.
+    fn pack_for(&mut self, tier: KernelTier, a: ASource<'_>, m: usize, k: usize) {
         let _span = telemetry::span(telemetry::Phase::Pack);
-        assert_eq!(a.len(), m * k, "A must hold m*k elements");
+        a.check(m, k);
         self.m = m;
         self.k = k;
-        self.tier = dispatch::active();
-        let mr = f32_kernel(self.tier).mr;
+        self.tier = tier;
+        let mr = f32_kernel(tier).mr;
         let stride = a_block_stride(mr);
         let m_blocks = m.div_ceil(MC);
         let k_panels = k.div_ceil(KC);
@@ -408,7 +505,7 @@ impl PackedA {
             for (bi, ic) in (0..m).step_by(MC).enumerate() {
                 let mc = MC.min(m - ic);
                 let slot = &mut buf[(pi * m_blocks + bi) * stride..][..stride];
-                pack_a(mr, trans_a, a, m, k, ic, mc, pc, kc, slot);
+                pack_a(mr, a, m, k, ic, mc, pc, kc, slot);
             }
         }
     }
@@ -695,21 +792,20 @@ impl PackedB {
 }
 
 /// GEMM with a cached pre-packed B operand (see [`PackedB`]):
-/// `C ← α · op(A) · op(B) + β · C` where only A is packed per call, blockwise
-/// into the caller's [`Scratch`].
+/// `C ← α · op(A) · op(B) + β · C` where only A is packed per call (for a
+/// patch source: gathered from the activation), blockwise into the caller's
+/// [`Scratch`].
 ///
 /// Runs on the kernel tier `packed_b` was packed for. Bit-identical to
 /// [`gemm`] / [`gemm_with_scratch`] on that tier for the same operands.
 ///
 /// # Panics
 ///
-/// Panics when a slice length disagrees with the packed dimensions.
-#[allow(clippy::too_many_arguments)]
+/// Panics when the source or `c` disagrees with the packed dimensions.
 pub fn gemm_prepacked_b(
-    trans_a: bool,
+    a: ASource<'_>,
     m: usize,
     alpha: f32,
-    a: &[f32],
     packed_b: &PackedB,
     beta: f32,
     c: &mut [f32],
@@ -717,7 +813,7 @@ pub fn gemm_prepacked_b(
 ) {
     let _span = telemetry::span(telemetry::Phase::Gemm);
     let (k, n) = (packed_b.k, packed_b.n);
-    assert_eq!(a.len(), m * k, "A must hold m*k elements");
+    a.check(m, k);
     assert_eq!(c.len(), m * n, "C must hold m*n elements");
     if m == 0 || n == 0 {
         return;
@@ -737,7 +833,7 @@ pub fn gemm_prepacked_b(
             let beta_block = if pc == 0 { beta } else { 1.0 };
             for ic in (0..m).step_by(MC) {
                 let mc = MC.min(m - ic);
-                pack_a(mr, trans_a, a, m, k, ic, mc, pc, kc, packed_a);
+                pack_a(mr, a, m, k, ic, mc, pc, kc, packed_a);
                 block_kernel(
                     &kern, packed_a, pb, c, n, ic, mc, jc, nc, kc, alpha, beta_block,
                 );
@@ -798,8 +894,8 @@ pub fn gemm_prepacked_ab(
     }
 }
 
-fn check_dims(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    assert_eq!(a.len(), m * k, "A must hold m*k elements");
+fn check_dims(a: &ASource<'_>, m: usize, n: usize, k: usize, b: &[f32], c: &mut [f32]) {
+    a.check(m, k);
     assert_eq!(b.len(), k * n, "B must hold k*n elements");
     assert_eq!(c.len(), m * n, "C must hold m*n elements");
 }
@@ -820,8 +916,7 @@ fn scale_in_place(c: &mut [f32], beta: f32) {
 #[allow(clippy::too_many_arguments)]
 fn pack_a(
     mr: usize,
-    trans_a: bool,
-    a: &[f32],
+    a: ASource<'_>,
     m: usize,
     k: usize,
     ic: usize,
@@ -830,13 +925,24 @@ fn pack_a(
     kc: usize,
     packed: &mut [f32],
 ) {
-    let at = |i: usize, p: usize| -> f32 {
-        if trans_a {
-            a[p * m + i]
-        } else {
-            a[i * k + p]
-        }
-    };
+    match a {
+        ASource::Rows(a) => pack_a_with(mr, ic, mc, pc, kc, packed, |i, p| a[i * k + p]),
+        ASource::Transposed(a) => pack_a_with(mr, ic, mc, pc, kc, packed, |i, p| a[p * m + i]),
+        ASource::Patches(view) => pack_a_patches(mr, &view, ic, mc, pc, kc, packed),
+    }
+}
+
+/// [`pack_a`] over a dense operand whose element `(i, p)` is `at(i, p)`.
+#[inline(always)]
+fn pack_a_with(
+    mr: usize,
+    ic: usize,
+    mc: usize,
+    pc: usize,
+    kc: usize,
+    packed: &mut [f32],
+    at: impl Fn(usize, usize) -> f32,
+) {
     let mut dst = 0;
     for ir in (0..mc).step_by(mr) {
         let rows = mr.min(mc - ir);
@@ -848,6 +954,101 @@ fn pack_a(
                     0.0
                 };
                 dst += 1;
+            }
+        }
+    }
+}
+
+/// [`pack_a`] over the implicit im2col matrix of `view`: each strip row's
+/// receptive field is gathered straight from the NCHW activation, so the
+/// packed bytes equal [`pack_a`] over the materialized
+/// [`crate::conv::im2col`] matrix (padding taps are `0.0`, exactly what
+/// im2col writes).
+///
+/// Per strip, the output positions of its rows are decoded once into stack
+/// tables; the walk over the k-panel then steps `(channel, ky, kx)`
+/// incrementally. A strip whose receptive fields all lie inside the input
+/// skips the padding test, and one whose rows are also adjacent in memory
+/// (stride 1, same output row) copies each tap as one contiguous run.
+fn pack_a_patches(
+    mr: usize,
+    view: &PatchView<'_>,
+    ic: usize,
+    mc: usize,
+    pc: usize,
+    kc: usize,
+    packed: &mut [f32],
+) {
+    let PatchView { data, shape, spec } = *view;
+    let ConvShape { h, w, oh, ow, .. } = shape;
+    let (kh, kw, stride) = (spec.kh, spec.kw, spec.stride);
+    let pad = spec.pad as isize;
+    let (hw, chw) = (h * w, shape.c * h * w);
+    assert!(mr <= MAX_MR, "strip height exceeds the packer's tables");
+    // Per strip row: input coordinates of the receptive field's top-left
+    // tap (negative inside the padding) and that tap's flat offset.
+    let mut top = [0isize; MAX_MR];
+    let mut left = [0isize; MAX_MR];
+    let mut origin = [0isize; MAX_MR];
+    let mut dst = 0;
+    for ir in (0..mc).step_by(mr) {
+        let rows = mr.min(mc - ir);
+        let first = ic + ir;
+        let (mut ni, pos) = (first / (oh * ow), first % (oh * ow));
+        let (mut oy, mut ox) = (pos / ow, pos % ow);
+        let mut interior = true;
+        for r in 0..rows {
+            let (y, x) = ((oy * stride) as isize - pad, (ox * stride) as isize - pad);
+            top[r] = y;
+            left[r] = x;
+            origin[r] = (ni * chw) as isize + y * w as isize + x;
+            interior &= y >= 0 && x >= 0 && y as usize + kh <= h && x as usize + kw <= w;
+            ox += 1;
+            if ox == ow {
+                ox = 0;
+                oy += 1;
+                if oy == oh {
+                    oy = 0;
+                    ni += 1;
+                }
+            }
+        }
+        let contiguous = interior && (1..rows).all(|r| origin[r] == origin[0] + r as isize);
+        let (mut ci, tap) = (pc / (kh * kw), pc % (kh * kw));
+        let (mut ky, mut kx) = (tap / kw, tap % kw);
+        for _ in 0..kc {
+            let offset = (ci * hw + ky * w + kx) as isize;
+            let strip = &mut packed[dst..dst + mr];
+            if contiguous {
+                let at = (origin[0] + offset) as usize;
+                strip[..rows].copy_from_slice(&data[at..at + rows]);
+            } else if interior {
+                for r in 0..rows {
+                    strip[r] = data[(origin[r] + offset) as usize];
+                }
+            } else {
+                for r in 0..rows {
+                    // Negative coordinates wrap to huge unsigned values, so
+                    // one unsigned compare per axis covers both borders.
+                    let y = (top[r] + ky as isize) as usize;
+                    let x = (left[r] + kx as isize) as usize;
+                    strip[r] = if y < h && x < w {
+                        data[(origin[r] + offset) as usize]
+                    } else {
+                        0.0
+                    };
+                }
+            }
+            strip[rows..].fill(0.0);
+            dst += mr;
+            kx += 1;
+            if kx == kw {
+                kx = 0;
+                ky += 1;
+                if ky == kh {
+                    ky = 0;
+                    ci += 1;
+                }
             }
         }
     }
@@ -1203,13 +1404,12 @@ mod tests {
         let mut c = vec![0.0f32; 64 * 32];
         let mut scratch = Scratch::new();
         gemm_with_scratch(
-            false,
+            ASource::matrix(false, &a),
             false,
             64,
             32,
             48,
             1.0,
-            &a,
             &b,
             0.0,
             &mut c,
@@ -1218,13 +1418,12 @@ mod tests {
         let cap = s_total(&scratch);
         for _ in 0..3 {
             gemm_with_scratch(
-                false,
+                ASource::matrix(false, &a),
                 false,
                 64,
                 32,
                 48,
                 1.0,
-                &a,
                 &b,
                 0.0,
                 &mut c,
@@ -1260,19 +1459,18 @@ mod tests {
                         let mut expected = seed_c.clone();
                         let mut scratch = Scratch::new();
                         gemm_with_scratch(
-                            trans_a,
+                            ASource::matrix(trans_a, &a),
                             trans_b,
                             m,
                             n,
                             k,
                             alpha,
-                            &a,
                             &b,
                             beta,
                             &mut expected,
                             &mut scratch,
                         );
-                        packed.pack(trans_a, &a, m, k);
+                        packed.pack(ASource::matrix(trans_a, &a), m, k);
                         assert_eq!((packed.m(), packed.k()), (m, k));
                         assert_eq!(packed.tier(), dispatch::active());
                         let mut got = seed_c.clone();
@@ -1308,7 +1506,7 @@ mod tests {
         let (m, n, k) = (33, 17, 300);
         let a = random_vec(m * k, &mut rng);
         let mut packed = PackedA::new();
-        packed.pack(false, &a, m, k);
+        packed.pack(ASource::Rows(&a), m, k);
         let warm = packed.buf.capacity();
         let mut packed_b_buf = Vec::new();
         for trial in 0..4 {
@@ -1323,7 +1521,7 @@ mod tests {
                 .all(|(x, y)| x.to_bits() == y.to_bits());
             assert!(identical, "trial {trial}");
         }
-        packed.pack(false, &a, m, k);
+        packed.pack(ASource::Rows(&a), m, k);
         assert_eq!(packed.buf.capacity(), warm, "repacking must not reallocate");
     }
 
@@ -1348,13 +1546,12 @@ mod tests {
                         let seed_c = random_vec(m * n, &mut rng);
                         let mut expected = seed_c.clone();
                         gemm_with_scratch(
-                            trans_a,
+                            ASource::matrix(trans_a, &a),
                             trans_b,
                             m,
                             n,
                             k,
                             alpha,
-                            &a,
                             &b,
                             beta,
                             &mut expected,
@@ -1365,10 +1562,9 @@ mod tests {
                         assert_eq!(packed.tier(), dispatch::active());
                         let mut got = seed_c.clone();
                         gemm_prepacked_b(
-                            trans_a,
+                            ASource::matrix(trans_a, &a),
                             m,
                             alpha,
-                            &a,
                             &packed,
                             beta,
                             &mut got,
@@ -1384,7 +1580,7 @@ mod tests {
                         );
                         // Fully prepacked path.
                         let mut pa = PackedA::new();
-                        pa.pack(trans_a, &a, m, k);
+                        pa.pack(ASource::matrix(trans_a, &a), m, k);
                         let mut got_ab = seed_c.clone();
                         gemm_prepacked_ab(&pa, &packed, alpha, beta, &mut got_ab);
                         let identical = expected
@@ -1427,8 +1623,24 @@ mod tests {
             let mut got = vec![0.0f32; m * n];
             let mut want = vec![0.0f32; m * n];
             let mut scratch = Scratch::new();
-            gemm_prepacked_b(false, m, 1.0, &a, &packed, 0.0, &mut got, &mut scratch);
-            gemm_prepacked_b(false, m, 1.0, &a, &reference, 0.0, &mut want, &mut scratch);
+            gemm_prepacked_b(
+                ASource::Rows(&a),
+                m,
+                1.0,
+                &packed,
+                0.0,
+                &mut got,
+                &mut scratch,
+            );
+            gemm_prepacked_b(
+                ASource::Rows(&a),
+                m,
+                1.0,
+                &reference,
+                0.0,
+                &mut want,
+                &mut scratch,
+            );
             assert!(
                 got.iter()
                     .zip(&want)
@@ -1447,8 +1659,24 @@ mod tests {
             packed.repack_rows(&next, &union, 0);
             let mut reference = PackedB::new();
             reference.pack(true, &next, k, n);
-            gemm_prepacked_b(false, m, 1.0, &a, &packed, 0.0, &mut got, &mut scratch);
-            gemm_prepacked_b(false, m, 1.0, &a, &reference, 0.0, &mut want, &mut scratch);
+            gemm_prepacked_b(
+                ASource::Rows(&a),
+                m,
+                1.0,
+                &packed,
+                0.0,
+                &mut got,
+                &mut scratch,
+            );
+            gemm_prepacked_b(
+                ASource::Rows(&a),
+                m,
+                1.0,
+                &reference,
+                0.0,
+                &mut want,
+                &mut scratch,
+            );
             assert!(
                 got.iter()
                     .zip(&want)
@@ -1516,8 +1744,24 @@ mod tests {
         let mut scratch = Scratch::new();
         let mut reference = PackedB::new();
         reference.pack(true, &clean, k, n);
-        gemm_prepacked_b(false, m, 1.0, &a, &packed, 0.0, &mut got, &mut scratch);
-        gemm_prepacked_b(false, m, 1.0, &a, &reference, 0.0, &mut want, &mut scratch);
+        gemm_prepacked_b(
+            ASource::Rows(&a),
+            m,
+            1.0,
+            &packed,
+            0.0,
+            &mut got,
+            &mut scratch,
+        );
+        gemm_prepacked_b(
+            ASource::Rows(&a),
+            m,
+            1.0,
+            &reference,
+            0.0,
+            &mut want,
+            &mut scratch,
+        );
         assert!(got
             .iter()
             .zip(&want)
@@ -1525,8 +1769,24 @@ mod tests {
         // Base 2n sees the mark — row 3 repacked.
         packed.repack_rows(&faulty, &stacked, 2 * n);
         reference.pack(true, &faulty, k, n);
-        gemm_prepacked_b(false, m, 1.0, &a, &packed, 0.0, &mut got, &mut scratch);
-        gemm_prepacked_b(false, m, 1.0, &a, &reference, 0.0, &mut want, &mut scratch);
+        gemm_prepacked_b(
+            ASource::Rows(&a),
+            m,
+            1.0,
+            &packed,
+            0.0,
+            &mut got,
+            &mut scratch,
+        );
+        gemm_prepacked_b(
+            ASource::Rows(&a),
+            m,
+            1.0,
+            &reference,
+            0.0,
+            &mut want,
+            &mut scratch,
+        );
         // Only row 3 of the faulty matrix was marked, so columns j != 3 of
         // the product still match the clean reference; column 3 matches the
         // faulty one.
@@ -1534,10 +1794,9 @@ mod tests {
         clean_ref.pack(true, &clean, k, n);
         let mut clean_want = vec![0.0f32; m * n];
         gemm_prepacked_b(
-            false,
+            ASource::matrix(false, &a),
             m,
             1.0,
-            &a,
             &clean_ref,
             0.0,
             &mut clean_want,
@@ -1567,13 +1826,12 @@ mod tests {
         let mut seq = vec![0.0f32; m * n];
         LOCAL_SCRATCH.with(|s| {
             gemm_with_scratch(
-                false,
+                ASource::matrix(false, &a),
                 false,
                 m,
                 n,
                 k,
                 1.0,
-                &a,
                 &b,
                 0.0,
                 &mut seq,
@@ -1582,7 +1840,19 @@ mod tests {
         });
         let mut par = vec![0.0f32; m * n];
         let kern = f32_kernel(dispatch::active());
-        gemm_parallel(&kern, false, false, m, n, k, 1.0, &a, &b, 0.0, &mut par, 4);
+        gemm_parallel(
+            &kern,
+            ASource::Rows(&a),
+            false,
+            m,
+            n,
+            k,
+            1.0,
+            &b,
+            0.0,
+            &mut par,
+            4,
+        );
         let identical = seq
             .iter()
             .zip(par.iter())
@@ -1591,6 +1861,198 @@ mod tests {
             identical,
             "parallel GEMM must be bit-identical to sequential"
         );
+    }
+
+    /// Conv geometries `(n, c, h, w, kh, kw, stride, pad)` for the
+    /// implicit-packer tests: odd channel and spatial sizes, 1×1/3×3/5×5
+    /// kernels, stride 1/2, pad 0/1/2, the `h = 1` Conv1d lift, row counts
+    /// that are multiples of neither any tier's `mr` nor `MC`, and
+    /// `C·KH·KW > KC` (a patch crossing a k-panel), plus random draws.
+    fn patch_geometries() -> Vec<[usize; 8]> {
+        let mut geoms = vec![
+            [1, 1, 1, 1, 1, 1, 1, 0],
+            [2, 3, 7, 5, 3, 3, 1, 1],
+            [1, 5, 9, 9, 5, 5, 2, 2],
+            [3, 32, 9, 9, 3, 3, 1, 1],
+            [2, 3, 1, 37, 1, 5, 1, 0],
+            [2, 4, 1, 40, 1, 8, 4, 0],
+            [1, 2, 6, 6, 1, 1, 2, 0],
+            [1, 7, 11, 13, 3, 3, 2, 0],
+        ];
+        let mut rng = Rng::seed_from(0x1A2C);
+        let pick = |rng: &mut Rng, opts: &[usize]| opts[rng.index(opts.len())];
+        while geoms.len() < 24 {
+            let (kernel, stride, pad) = (
+                pick(&mut rng, &[1, 3, 5]),
+                pick(&mut rng, &[1, 2]),
+                pick(&mut rng, &[0, 1, 2]),
+            );
+            let lift = rng.index(4) == 0;
+            let (h, kh) = if lift {
+                (1, 1)
+            } else {
+                (1 + rng.index(12), kernel)
+            };
+            let g = [
+                1 + rng.index(3),
+                pick(&mut rng, &[1, 3, 5, 9, 32]),
+                h,
+                1 + rng.index(12),
+                kh,
+                kernel,
+                stride,
+                if lift { 0 } else { pad },
+            ];
+            let spec = Conv2dSpec {
+                kh: g[4],
+                kw: g[5],
+                stride: g[6],
+                pad: g[7],
+            };
+            if spec.output_hw(g[2], g[3]).is_ok() {
+                geoms.push(g);
+            }
+        }
+        geoms
+    }
+
+    /// An activation for geometry `g`, its im2col matrix and the spec.
+    fn patch_case(g: [usize; 8], rng: &mut Rng) -> (Vec<f32>, Vec<f32>, ConvShape, Conv2dSpec) {
+        let [n, c, h, w, kh, kw, stride, pad] = g;
+        let spec = Conv2dSpec {
+            kh,
+            kw,
+            stride,
+            pad,
+        };
+        let dims = [n, c, h, w];
+        let x = random_vec(n * c * h * w, rng);
+        let shape = crate::conv::conv_out_shape(&dims, &spec).unwrap();
+        let input = crate::tensor::Tensor::from_vec(x.clone(), &dims).unwrap();
+        let cols = crate::conv::im2col(&input, &spec).unwrap().data().to_vec();
+        (x, cols, shape, spec)
+    }
+
+    fn bits_equal(a: &[f32], b: &[f32]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    const ALL_TIERS: [KernelTier; 3] = [KernelTier::Portable, KernelTier::Avx2, KernelTier::Avx512];
+
+    #[test]
+    fn patch_strips_equal_pack_a_over_materialized_im2col() {
+        // Packing is plain Rust for every tier (only the microkernels use
+        // SIMD), so all three strip geometries are checked on any host.
+        let mut rng = Rng::seed_from(0x5EED);
+        for g in patch_geometries() {
+            let (x, cols, shape, spec) = patch_case(g, &mut rng);
+            let (m, k) = (shape.rows, shape.patch);
+            let dims = [shape.n, shape.c, shape.h, shape.w];
+            let patches = ASource::patches(&x, &dims, &spec).unwrap();
+            for tier in ALL_TIERS {
+                let mr = f32_kernel(tier).mr;
+                let len = MC.next_multiple_of(mr) * KC;
+                let (mut want, mut got) = (vec![f32::NAN; len], vec![f32::NAN; len]);
+                // Every (row block, k-panel) block the GEMM driver packs.
+                for pc in (0..k).step_by(KC) {
+                    let kc = KC.min(k - pc);
+                    for ic in (0..m).step_by(MC) {
+                        let mc = MC.min(m - ic);
+                        pack_a(mr, ASource::Rows(&cols), m, k, ic, mc, pc, kc, &mut want);
+                        pack_a(mr, patches, m, k, ic, mc, pc, kc, &mut got);
+                        assert!(
+                            bits_equal(&want, &got),
+                            "{tier:?} block {g:?} ic={ic} pc={pc}"
+                        );
+                    }
+                }
+                // Single (possibly ragged) strips at arbitrary offsets.
+                for _ in 0..16 {
+                    let ic = rng.index(m);
+                    let mc = 1 + rng.index(mr.min(m - ic));
+                    let pc = rng.index(k);
+                    let kc = 1 + rng.index(KC.min(k - pc));
+                    let len = mr * kc;
+                    pack_a(
+                        mr,
+                        ASource::Rows(&cols),
+                        m,
+                        k,
+                        ic,
+                        mc,
+                        pc,
+                        kc,
+                        &mut want[..len],
+                    );
+                    pack_a(mr, patches, m, k, ic, mc, pc, kc, &mut got[..len]);
+                    assert!(
+                        bits_equal(&want[..len], &got[..len]),
+                        "{tier:?} strip {g:?} ic={ic} mc={mc} pc={pc} kc={kc}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn packed_a_from_patches_equals_packed_a_from_im2col() {
+        let mut rng = Rng::seed_from(0x9A7C);
+        let (mut from_cols, mut from_patches) = (PackedA::new(), PackedA::new());
+        for g in patch_geometries() {
+            let (x, cols, shape, spec) = patch_case(g, &mut rng);
+            let (m, k) = (shape.rows, shape.patch);
+            let dims = [shape.n, shape.c, shape.h, shape.w];
+            let patches = ASource::patches(&x, &dims, &spec).unwrap();
+            for tier in ALL_TIERS {
+                from_cols.pack_for(tier, ASource::Rows(&cols), m, k);
+                from_patches.pack_for(tier, patches, m, k);
+                let len = m.div_ceil(MC) * k.div_ceil(KC) * a_block_stride(f32_kernel(tier).mr);
+                assert_eq!((from_patches.m(), from_patches.k()), (m, k));
+                assert!(
+                    bits_equal(&from_cols.buf[..len], &from_patches.buf[..len]),
+                    "{tier:?} {g:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn implicit_gemm_is_bit_identical_to_im2col_gemm() {
+        // Below and above PARALLEL_FLOP_THRESHOLD (the latter also forced
+        // through the parallel driver, whatever the pool size), and through
+        // the cached-B entry point.
+        let mut rng = Rng::seed_from(0x1CE);
+        let mut scratch = Scratch::new();
+        let mut packed_b = PackedB::new();
+        for (g, oc) in [
+            ([2usize, 3, 7, 5, 3, 3, 1, 1], 5usize),
+            ([3, 32, 9, 9, 3, 3, 1, 1], 17),
+            ([2, 16, 16, 16, 3, 3, 1, 1], 32),
+            ([2, 8, 1, 300, 1, 9, 1, 0], 40),
+        ] {
+            let (x, cols, shape, spec) = patch_case(g, &mut rng);
+            let (m, k) = (shape.rows, shape.patch);
+            let patches =
+                ASource::patches(&x, &[shape.n, shape.c, shape.h, shape.w], &spec).unwrap();
+            let weight = random_vec(oc * k, &mut rng);
+            let mut want = vec![0.0f32; m * oc];
+            gemm(false, true, m, oc, k, 1.0, &cols, &weight, 0.0, &mut want);
+            let mut got = vec![f32::NAN; m * oc];
+            gemm_from(patches, true, m, oc, k, 1.0, &weight, 0.0, &mut got);
+            assert!(bits_equal(&want, &got), "gemm_from {g:?}");
+            let kern = f32_kernel(dispatch::active());
+            let mut par = vec![f32::NAN; m * oc];
+            gemm_parallel(
+                &kern, patches, true, m, oc, k, 1.0, &weight, 0.0, &mut par, 3,
+            );
+            assert!(bits_equal(&want, &par), "parallel {g:?}");
+            packed_b.pack(true, &weight, k, oc);
+            let mut cached = vec![f32::NAN; m * oc];
+            gemm_prepacked_b(patches, m, 1.0, &packed_b, 0.0, &mut cached, &mut scratch);
+            assert!(bits_equal(&want, &cached), "prepacked_b {g:?}");
+        }
+        let big = [2 * 16 * 16, 32, 16 * 9];
+        assert!(big.iter().product::<usize>() >= PARALLEL_FLOP_THRESHOLD);
     }
 
     mod packed_b_props {

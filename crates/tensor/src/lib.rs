@@ -26,8 +26,10 @@
 //!   semantics across all tiers.
 //! * [`scratch`] — reusable workspace buffers so hot-path kernels allocate
 //!   nothing in steady state.
-//! * [`conv`] — im2col/col2im based 1-D and 2-D convolution kernels (forward
-//!   and the gradient products needed for backward passes).
+//! * [`conv`] — GEMM-lowered 1-D and 2-D convolution kernels: implicit
+//!   im2col (patches gathered inside the GEMM's packing step) for inference,
+//!   explicit im2col/col2im for the training forward and the gradient
+//!   products needed for backward passes.
 //! * [`pool`] — max/average pooling kernels with argmax bookkeeping.
 //! * [`rng`] — seeded random number utilities (uniform, Gaussian via
 //!   Box–Muller, Bernoulli masks) so every experiment is reproducible.

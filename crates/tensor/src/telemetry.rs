@@ -63,7 +63,11 @@ pub enum Phase {
     Forward = 4,
     /// Blocked (q)GEMM kernel invocations.
     Gemm = 5,
-    /// im2col patch-matrix extraction.
+    /// Materialized im2col patch-matrix extraction. Only training, the i8
+    /// quantized path and the direct batched engine still build a patch
+    /// matrix; f32 inference gathers patches inside the GEMM's packing
+    /// step, so its time is counted under [`Phase::Gemm`] (or
+    /// [`Phase::Pack`] for a cached packed operand).
     Im2col = 6,
     /// Metric evaluation over a realization's output.
     Metric = 7,
@@ -684,6 +688,9 @@ fn fmt_ns(ns: u64) -> String {
     }
 }
 
+/// Lists every phase, like [`RunTelemetry::to_json`]: a phase that did not
+/// run shows as an explicit zero row (e.g. `im2col` on f32 inference, which
+/// gathers patches inside the GEMM) instead of disappearing.
 impl std::fmt::Display for RunTelemetry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
@@ -694,9 +701,6 @@ impl std::fmt::Display for RunTelemetry {
         )?;
         writeln!(f, "  {:<10} {:>14} {:>10}", "phase", "total", "spans")?;
         for p in self.phases() {
-            if p.count == 0 {
-                continue;
-            }
             writeln!(
                 f,
                 "  {:<10} {:>14} {:>10}",

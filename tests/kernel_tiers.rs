@@ -11,6 +11,10 @@
 //!   across **all** tiers.
 //! * The `vecmath` elementwise kernels are per-lane and bit-identical across
 //!   all tiers.
+//! * Every convolution of the paper's Proposed MicroResNet, M5 and
+//!   MicroUNet gives bitwise the same output in `Mode::Eval` (implicit GEMM:
+//!   patches gathered into the packed panels) as in `Mode::Train`
+//!   (materialized im2col), on small and on parallel-sized products.
 //! * A Monte-Carlo engine-ladder sweep under `force(Portable)` and
 //!   `force(Avx2)` is internally bit-identical across every engine, and each
 //!   summary records the tier it executed under.
@@ -222,7 +226,117 @@ fn vecmath_is_bit_identical_across_all_tiers() {
     }
 }
 
-/// A small plannable CNN exercising GEMM (conv im2col + linear), the
+/// `m·n·k` from which the f32 GEMM runs its parallel row-block driver.
+const PARALLEL_FLOP_THRESHOLD: usize = 1 << 21;
+
+/// Runs every convolution nested in `model` once in `Mode::Eval` and once
+/// in `Mode::Train` on the same random input and asserts bitwise-equal
+/// outputs. Inputs are `[batch, C, side, side]`, or `[batch, C, length]` /
+/// `[batch, C, 1, length]` for Conv1d and its lifted inner Conv2d. Returns
+/// the GEMM sizes `m·n·k` that were checked.
+fn assert_conv_eval_matches_train(
+    model: &mut BuiltModel,
+    batch: usize,
+    side: usize,
+    length: usize,
+    rng: &mut Rng,
+) -> Vec<usize> {
+    let mut sizes = Vec::new();
+    model.visit_layers(&mut |layer| {
+        let name = layer.name();
+        if name != "Conv2d" && name != "Conv1d" {
+            return;
+        }
+        let mut w = Vec::new();
+        layer.visit_params(&mut |p| {
+            if w.is_empty() {
+                w = p.value.dims().to_vec();
+            }
+        });
+        let dims = match (name, w[2], w[3]) {
+            ("Conv1d", _, _) => vec![batch, w[1], length],
+            (_, 1, kw) if kw > 1 => vec![batch, w[1], 1, length],
+            _ => vec![batch, w[1], side, side],
+        };
+        let x = Tensor::randn(&dims, 0.0, 1.0, rng);
+        let eval = layer.forward(&x, Mode::Eval).unwrap();
+        let train = layer.forward(&x, Mode::Train).unwrap();
+        assert_eq!(eval.dims(), train.dims());
+        let same = eval
+            .data()
+            .iter()
+            .zip(train.data())
+            .all(|(a, b)| a.to_bits() == b.to_bits());
+        assert!(
+            same,
+            "{}: {name} {w:?} on {dims:?}",
+            dispatch::active().name()
+        );
+        let rows = eval.numel() / w[0];
+        sizes.push(rows * w[0] * w[1] * w[2] * w[3]);
+    });
+    sizes
+}
+
+#[test]
+fn paper_model_convs_are_bit_identical_in_eval_and_train_on_every_tier() {
+    use invnorm_models::{m5, resnet, unet};
+    let _guard = tier_lock();
+    let _restore = ResetOnDrop;
+    let mut rng = Rng::seed_from(0xC0DE);
+    // The configurations the benchmark tasks build (bench::tasks).
+    let variant = NormVariant::proposed();
+    let mut models = [
+        resnet::build(
+            &resnet::MicroResNetConfig {
+                in_channels: 3,
+                classes: 6,
+                base_channels: 8,
+                binary_activations: true,
+                seed: 100,
+            },
+            variant,
+        )
+        .unwrap(),
+        m5::build(
+            &m5::M5NetConfig {
+                classes: 6,
+                base_channels: 8,
+                seed: 200,
+            },
+            variant,
+        )
+        .unwrap(),
+        unet::build(
+            &unet::MicroUNetConfig {
+                base_channels: 8,
+                quantized_activations: true,
+                seed: 300,
+            },
+            variant,
+        )
+        .unwrap(),
+    ];
+    for tier in testable_tiers() {
+        dispatch::force(tier);
+        let mut sizes = Vec::new();
+        for model in &mut models {
+            for batch in [2, 16] {
+                let checked = assert_conv_eval_matches_train(model, batch, 16, 128, &mut rng);
+                assert!(
+                    !checked.is_empty(),
+                    "{} has no convolutions",
+                    model.topology
+                );
+                sizes.extend(checked);
+            }
+        }
+        assert!(sizes.iter().any(|&s| s < PARALLEL_FLOP_THRESHOLD));
+        assert!(sizes.iter().any(|&s| s >= PARALLEL_FLOP_THRESHOLD));
+    }
+}
+
+/// A small plannable CNN exercising GEMM (implicit-GEMM conv + linear), the
 /// vectorized ReLU/sigmoid activations and the GroupNorm normalize pass.
 fn cnn(seed: u64) -> Sequential {
     let mut rng = Rng::seed_from(seed);

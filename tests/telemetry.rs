@@ -114,7 +114,7 @@ fn all_faults() -> [FaultModel; 8] {
     ]
 }
 
-/// A small CNN exercising conv (im2col + pack), pooling and a dense head.
+/// A small CNN exercising conv (patch gather + pack), pooling and a dense head.
 fn cnn(seed: u64) -> Sequential {
     let mut rng = Rng::seed_from(seed);
     Sequential::new()
@@ -230,7 +230,7 @@ fn enabled_telemetry_is_allocation_free_in_steady_state() {
         plan.forward(&mut net).unwrap();
     }
 
-    // Steady state: spans (Repack/Gemm/Im2col inside the planned forward,
+    // Steady state: spans (Repack/Gemm inside the planned forward,
     // Inject inside the injector) and counters keep firing on every round,
     // and none of it may touch the heap.
     let before = thread_allocations();
