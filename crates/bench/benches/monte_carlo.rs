@@ -1,19 +1,20 @@
 //! Monte-Carlo engine throughput: sequential [`MonteCarloEngine::run`] vs
-//! instance-parallel `run_parallel` vs the batched `run_batched` path that
-//! fuses B fault realizations into each forward pass.
+//! instance-parallel `run_parallel` vs the compiled-plan engines
+//! (`run_planned`, and `run_planned_batched`, which fuses B fault
+//! realizations into each planned forward pass).
 //!
 //! The workload is the paper's actual evaluation shape: a **small** model
 //! (the 64×512→256 linear probe and a compact CNN) evaluated over ~tens of
 //! Monte-Carlo chip instances. At these sizes a single instance cannot
 //! saturate the blocked GEMM, so `run_parallel` only scales by instance-level
 //! work stealing and still pays per-instance snapshot/restore clones, packing
-//! and allocator traffic; `run_batched` amortizes all of that across the
-//! batch. Results are written to `BENCH_monte_carlo.json`; the
-//! `*_batched_*` / `*_parallel_*` pairs are the tracked speedup.
+//! and allocator traffic; the planned engines amortize all of that across
+//! the simulation. Results are written to `BENCH_monte_carlo.json`; the
+//! `*_planned_batched_*` / `*_parallel_*` pairs are the tracked speedup.
 //!
-//! `run`, `run_parallel` and `run_batched` produce bit-identical per-run
-//! metrics (tested in `invnorm-imc`), so these benchmarks compare equal
-//! work, not approximations.
+//! Every engine produces bit-identical per-run metrics (tested in
+//! `invnorm-imc`), so these benchmarks compare equal work, not
+//! approximations.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use invnorm_imc::fault::{FaultModel, LineOrientation};
@@ -33,9 +34,9 @@ use invnorm_tensor::{Rng, Tensor};
 /// Chip instances per engine run (kept below the paper's 100 so every
 /// benchmark iteration is one full engine invocation).
 const RUNS: usize = 32;
-/// Fault realizations fused per batched forward pass.
+/// Fault realizations fused per planned-batched forward pass.
 const BATCH: usize = 16;
-/// Worker threads for the parallel and batched engines.
+/// Worker threads for the parallel and planned engines.
 const THREADS: usize = 4;
 
 /// The paper's linear probe shape: one 512→256 dense layer on a 64-row
@@ -164,28 +165,6 @@ fn bench_model<F>(
                 })
             });
         }
-        // Batched engine: B realizations per forward pass.
-        group.bench_function(format!("{name}_{tag}_batched_b{BATCH}_t{THREADS}"), |b| {
-            b.iter(|| {
-                let summary = if quantized {
-                    engine
-                        .run_batched_quantized(
-                            factory,
-                            fault,
-                            input,
-                            |out| Ok(out.sum()),
-                            BATCH,
-                            THREADS,
-                        )
-                        .unwrap()
-                } else {
-                    engine
-                        .run_batched(factory, fault, input, |out| Ok(out.sum()), BATCH, THREADS)
-                        .unwrap()
-                };
-                summary.mean
-            })
-        });
         // Compiled-plan engine: per-worker plans amortize shape inference,
         // buffer allocation and weight packing across the whole simulation;
         // only dirty panels are re-packed between realizations.
@@ -204,9 +183,9 @@ fn bench_model<F>(
             })
         });
         // Fused planned-batched engine: B stacked realizations per planned
-        // forward — the batched wide-GEMM win and the compiled-plan win in
-        // one path (frozen activation panels streamed against B cached
-        // weight panels; sparse stuck-at lands in the panels cell by cell).
+        // forward — the wide-GEMM win and the compiled-plan win in one path
+        // (frozen activation panels streamed against B cached weight panels;
+        // sparse stuck-at lands in the panels cell by cell).
         group.bench_function(
             format!("{name}_{tag}_planned_batched_b{BATCH}_t{THREADS}"),
             |b| {

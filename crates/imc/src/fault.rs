@@ -471,9 +471,9 @@ impl FaultModel {
 
     /// Applies the fault model to a weight tensor, writing the perturbed
     /// values into a caller-provided buffer instead of allocating a fresh
-    /// tensor — the zero-alloc realization step of the batched Monte-Carlo
-    /// path, where B perturbed copies of each parameter land in a stacked
-    /// buffer.
+    /// tensor — the zero-alloc realization step of the planned Monte-Carlo
+    /// engines, where each perturbed copy of a parameter lands in a
+    /// plan-owned (possibly stacked) faulty buffer.
     ///
     /// Draws **exactly** the same random variates in the same order as
     /// [`FaultModel::perturb`], so for the same `rng` state the realization

@@ -36,14 +36,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Which representation a batched Monte-Carlo run perturbs: f32 weights (via
-/// [`WeightFaultInjector`]) or quantization codes (via [`CodeFaultInjector`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BatchedDomain {
-    Weights,
-    Codes,
-}
-
 /// Aggregated result of a Monte-Carlo fault simulation.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MonteCarloSummary {
@@ -95,7 +87,13 @@ impl MonteCarloSummary {
 
 /// One rung of the Monte-Carlo engine ladder, fastest first. Used by
 /// [`MonteCarloEngine::run_auto`] to report which engine actually produced a
-/// summary and which rungs were skipped on the way down.
+/// summary and which rungs were skipped on the way down, and recorded in
+/// supervised-sweep checkpoints (resume pins the engine).
+///
+/// Serialized checkpoints tag the engines 0 (`PlannedBatched`), 1
+/// (`Planned`), 3 (`Parallel`) and 4 (`Sequential`). Tag 2 named a deleted
+/// engine and is never reissued: a checkpoint carrying it is rejected with a
+/// typed `CheckpointFault::Mismatch`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum EngineKind {
     /// [`MonteCarloEngine::run_planned_batched`]: compiled plans with fused
@@ -104,9 +102,6 @@ pub enum EngineKind {
     /// [`MonteCarloEngine::run_planned`]: compiled plans, one realization per
     /// forward.
     Planned,
-    /// [`MonteCarloEngine::run_batched`]: stacked batched buffers on the
-    /// direct eval path.
-    Batched,
     /// [`MonteCarloEngine::run_parallel`]: per-instance snapshot/restore on
     /// the direct eval path — supports every layer.
     Parallel,
@@ -123,7 +118,6 @@ impl EngineKind {
         match self {
             EngineKind::PlannedBatched => "MonteCarloEngine::run_planned_batched",
             EngineKind::Planned => "MonteCarloEngine::run_planned",
-            EngineKind::Batched => "MonteCarloEngine::run_batched",
             EngineKind::Parallel => "MonteCarloEngine::run_parallel",
             EngineKind::Sequential => "MonteCarloEngine::run",
         }
@@ -141,10 +135,10 @@ impl std::fmt::Display for EngineKind {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum DegradationPolicy {
     /// Fall down the engine ladder (`run_planned_batched` → `run_planned` →
-    /// `run_batched` → `run_parallel`), recording a typed reason per skipped
-    /// rung. Per-run metrics are bit-identical across rungs wherever two
-    /// engines both support the configuration, so degrading never changes
-    /// the statistics — only the throughput.
+    /// `run_parallel`), recording a typed reason per skipped rung. Per-run
+    /// metrics are bit-identical across rungs wherever two engines both
+    /// support the configuration, so degrading never changes the statistics
+    /// — only the throughput.
     #[default]
     Graceful,
     /// No fallback: run the fastest engine and propagate its error loudly.
@@ -155,8 +149,9 @@ pub enum DegradationPolicy {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FallbackReason {
     /// The engine has no fault-lifetime model: its realizations outlive a
-    /// single forward pass (snapshot/restore brackets, staged stacked
-    /// buffers), so it cannot honor a per-inference fault lifetime.
+    /// single forward pass (the snapshot/restore bracket of
+    /// [`MonteCarloEngine::run_parallel`], the only such rung), so it cannot
+    /// honor a per-inference fault lifetime.
     Lifetime,
     /// A layer rejected the engine's evaluation protocol
     /// (from [`NnError::Unsupported`]).
@@ -753,326 +748,6 @@ impl MonteCarloEngine {
         )
     }
 
-    /// Runs the simulation with **B fault realizations fused into each
-    /// forward pass**: `runs` chip instances are chunked into batches of
-    /// `batch`, each batch stages B perturbed weight realizations into the
-    /// network's stacked batched buffers (the clean weights are never
-    /// touched, so there is no snapshot/restore), evaluates all of them in
-    /// one batched forward over the shared `input`, and applies `metric` to
-    /// each realization's output slice. Batches are distributed over
-    /// `threads` rayon workers exactly like [`MonteCarloEngine::run_parallel`]
-    /// distributes instances.
-    ///
-    /// Chip instance `i` perturbs its weights with the same `(seed, i)`
-    /// derived streams as [`MonteCarloEngine::run`], and each realization's
-    /// forward pass is arithmetically identical to a sequential forward on
-    /// its perturbed weights, so the per-run metrics are **bit-identical** to
-    /// the sequential engine evaluating `metric(network.forward(input))` —
-    /// for every batch size and thread count. What batching buys is
-    /// throughput: the shared input panel is quantized/unfolded/packed once
-    /// per batch instead of once per instance, per-instance snapshot/restore
-    /// clones disappear, and small models stop being bound by per-run
-    /// dispatch overhead.
-    ///
-    /// The network must be built from batched-eval-capable layers
-    /// (`Linear`, `Conv2d`, the quantized layers, containers and stateless
-    /// layers); a layer with fault-targetable weights but no batched support
-    /// is rejected loudly. Networks that are stochastic at evaluation time
-    /// are not reproducible against the sequential engine.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when staging, injection, evaluation or the metric
-    /// fails, or when a metric is non-finite; with several failures, the
-    /// error of the lowest-indexed failing batch is returned.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_batched<M, F, E>(
-        &self,
-        factory: F,
-        fault: impl Into<FaultSpec>,
-        input: &Tensor,
-        metric: E,
-        batch: usize,
-        threads: usize,
-    ) -> Result<MonteCarloSummary>
-    where
-        M: Layer + Send,
-        F: Fn() -> M + Sync,
-        E: Fn(&Tensor) -> Result<f32> + Sync,
-    {
-        let fault = Self::require_static(fault.into(), "MonteCarloEngine::run_batched")?;
-        let outcome = self.run_batched_in(
-            BatchedDomain::Weights,
-            factory,
-            fault,
-            input,
-            metric,
-            batch,
-            threads,
-            &SweepControl::default(),
-            false,
-        )?;
-        Self::unwrap_legacy(outcome)
-    }
-
-    /// The supervised counterpart of [`MonteCarloEngine::run_batched`]:
-    /// workers honor the budget between batches, a panicking batch is
-    /// quarantined whole (a fused forward is a fused failure domain; the
-    /// worker rebuilds its model and stacked buffers), and resume re-runs
-    /// any batch with missing instances — deterministic streams make the
-    /// replayed values identical. See [`crate::supervise`].
-    ///
-    /// # Errors
-    ///
-    /// See [`MonteCarloEngine::run_supervised`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_batched_supervised<M, F, E>(
-        &self,
-        factory: F,
-        fault: impl Into<FaultSpec>,
-        input: &Tensor,
-        metric: E,
-        batch: usize,
-        threads: usize,
-        control: &SweepControl,
-    ) -> Result<SweepOutcome>
-    where
-        M: Layer + Send,
-        F: Fn() -> M + Sync,
-        E: Fn(&Tensor) -> Result<f32> + Sync,
-    {
-        let fault = Self::require_static(fault.into(), "MonteCarloEngine::run_batched")?;
-        self.run_batched_in(
-            BatchedDomain::Weights,
-            factory,
-            fault,
-            input,
-            metric,
-            batch,
-            threads,
-            control,
-            true,
-        )
-    }
-
-    /// The **quantized** counterpart of [`MonteCarloEngine::run_batched`]:
-    /// each batch materializes B fault realizations directly into the
-    /// stacked **i8 code** buffers (via [`CodeFaultInjector`] streams), and
-    /// the batched forward stays in the integer domain. Per-run metrics are
-    /// bit-identical to [`MonteCarloEngine::run_quantized`] evaluating
-    /// `metric(network.forward(input))`.
-    ///
-    /// # Errors
-    ///
-    /// See [`MonteCarloEngine::run_batched`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_batched_quantized<M, F, E>(
-        &self,
-        factory: F,
-        fault: impl Into<FaultSpec>,
-        input: &Tensor,
-        metric: E,
-        batch: usize,
-        threads: usize,
-    ) -> Result<MonteCarloSummary>
-    where
-        M: Layer + Send,
-        F: Fn() -> M + Sync,
-        E: Fn(&Tensor) -> Result<f32> + Sync,
-    {
-        let fault = Self::require_static(fault.into(), "MonteCarloEngine::run_batched_quantized")?;
-        let outcome = self.run_batched_in(
-            BatchedDomain::Codes,
-            factory,
-            fault,
-            input,
-            metric,
-            batch,
-            threads,
-            &SweepControl::default(),
-            false,
-        )?;
-        Self::unwrap_legacy(outcome)
-    }
-
-    /// The supervised counterpart of
-    /// [`MonteCarloEngine::run_batched_quantized`] — see
-    /// [`MonteCarloEngine::run_batched_supervised`].
-    ///
-    /// # Errors
-    ///
-    /// See [`MonteCarloEngine::run_supervised`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_batched_quantized_supervised<M, F, E>(
-        &self,
-        factory: F,
-        fault: impl Into<FaultSpec>,
-        input: &Tensor,
-        metric: E,
-        batch: usize,
-        threads: usize,
-        control: &SweepControl,
-    ) -> Result<SweepOutcome>
-    where
-        M: Layer + Send,
-        F: Fn() -> M + Sync,
-        E: Fn(&Tensor) -> Result<f32> + Sync,
-    {
-        let fault = Self::require_static(fault.into(), "MonteCarloEngine::run_batched_quantized")?;
-        self.run_batched_in(
-            BatchedDomain::Codes,
-            factory,
-            fault,
-            input,
-            metric,
-            batch,
-            threads,
-            control,
-            true,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_batched_in<M, F, E>(
-        &self,
-        domain: BatchedDomain,
-        factory: F,
-        fault: FaultModel,
-        input: &Tensor,
-        metric: E,
-        batch: usize,
-        threads: usize,
-        control: &SweepControl,
-        catch: bool,
-    ) -> Result<SweepOutcome>
-    where
-        M: Layer + Send,
-        F: Fn() -> M + Sync,
-        E: Fn(&Tensor) -> Result<f32> + Sync,
-    {
-        fault.validate()?;
-        let scope = RunScope::begin();
-        let runs = self.runs;
-        let seed = self.seed;
-        let mut ledger = RunLedger::new(
-            EngineKind::Batched,
-            match domain {
-                BatchedDomain::Weights => SweepDomain::Weights,
-                BatchedDomain::Codes => SweepDomain::Codes,
-            },
-            seed,
-            runs,
-            fault.label(),
-            control.resume.as_ref(),
-        )?;
-        let done = ledger.done_mask();
-        let budget = &control.budget;
-        let batch = batch.clamp(1, runs);
-        let n_batches = runs.div_ceil(batch);
-        let threads = threads.clamp(1, n_batches);
-        let next_batch = AtomicUsize::new(0);
-        type BatchEntry = (usize, usize, BatchAttempt);
-        let collected: Mutex<Vec<BatchEntry>> = Mutex::new(Vec::with_capacity(n_batches));
-        rayon::scope(|s| {
-            for _ in 0..threads {
-                let next_batch = &next_batch;
-                let collected = &collected;
-                let factory = &factory;
-                let metric = &metric;
-                let done = &done;
-                s.spawn(move || {
-                    let mut model = factory();
-                    let mut local: Vec<BatchEntry> = Vec::new();
-                    // Clean weights are staged into the stacked buffers once
-                    // per worker (targeted slots are fully overwritten by
-                    // every realization pass, untargeted slots stay clean),
-                    // so batch N+1 pays no re-staging memcpy.
-                    let mut staged = 0usize;
-                    loop {
-                        let bi = next_batch.fetch_add(1, Ordering::Relaxed);
-                        if bi >= n_batches {
-                            break;
-                        }
-                        let start = bi * batch;
-                        let bsize = batch.min(runs - start);
-                        // A batch whose every instance is already accounted
-                        // for (resume) costs nothing; a partially-done batch
-                        // re-runs whole — the replayed values are identical
-                        // and the ledger ignores re-records.
-                        if done[start..start + bsize].iter().all(|d| *d) {
-                            continue;
-                        }
-                        if budget.interrupted().is_some() {
-                            break;
-                        }
-                        if staged != bsize {
-                            if let Err(e) = model.begin_batched(bsize) {
-                                local.push((start, bsize, BatchAttempt::Metrics(Err(e))));
-                                break;
-                            }
-                            staged = bsize;
-                        }
-                        if catch {
-                            match catch_unwind(AssertUnwindSafe(|| {
-                                Self::simulate_batch(
-                                    &mut model, domain, fault, seed, start, bsize, input, metric,
-                                )
-                            })) {
-                                Ok(r) => local.push((start, bsize, BatchAttempt::Metrics(r))),
-                                Err(payload) => {
-                                    local.push((
-                                        start,
-                                        bsize,
-                                        BatchAttempt::Panicked(panic_message(payload)),
-                                    ));
-                                    // The panic left the model and its
-                                    // stacked buffers in an unknown state;
-                                    // rebuild both.
-                                    model = factory();
-                                    staged = 0;
-                                }
-                            }
-                        } else {
-                            local.push((
-                                start,
-                                bsize,
-                                BatchAttempt::Metrics(Self::simulate_batch(
-                                    &mut model, domain, fault, seed, start, bsize, input, metric,
-                                )),
-                            ));
-                        }
-                    }
-                    model.end_batched();
-                    collected
-                        .lock()
-                        .expect("monte-carlo result lock poisoned")
-                        .append(&mut local);
-                });
-            }
-        });
-        let mut collected = collected
-            .into_inner()
-            .expect("monte-carlo result lock poisoned");
-        collected.sort_by_key(|(start, _, _)| *start);
-        for (start, bsize, attempt) in collected {
-            match attempt {
-                BatchAttempt::Metrics(Ok(metrics)) => {
-                    for (offset, metric) in metrics.into_iter().enumerate() {
-                        ledger.record(start + offset, metric);
-                    }
-                }
-                // Lowest-indexed genuine error wins (the drain is sorted).
-                BatchAttempt::Metrics(Err(e)) => return Err(e),
-                BatchAttempt::Panicked(message) => {
-                    for run in start..start + bsize {
-                        ledger.record_panic(run, message.clone());
-                    }
-                }
-            }
-        }
-        Ok(ledger.finish(scope, budget))
-    }
-
     /// Runs the simulation on **compiled inference plans**: each worker
     /// builds its model once, compiles it into an `invnorm_nn::plan::Plan`
     /// for the shape of `input` (one-shot shape inference, arena-backed
@@ -1127,7 +802,7 @@ impl MonteCarloEngine {
         E: Fn(&Tensor) -> Result<f32> + Sync,
     {
         let outcome = self.run_planned_in(
-            BatchedDomain::Weights,
+            SweepDomain::Weights,
             factory,
             fault.into(),
             input,
@@ -1163,7 +838,7 @@ impl MonteCarloEngine {
         E: Fn(&Tensor) -> Result<f32> + Sync,
     {
         self.run_planned_in(
-            BatchedDomain::Weights,
+            SweepDomain::Weights,
             factory,
             fault.into(),
             input,
@@ -1199,7 +874,7 @@ impl MonteCarloEngine {
         E: Fn(&Tensor) -> Result<f32> + Sync,
     {
         let outcome = self.run_planned_in(
-            BatchedDomain::Codes,
+            SweepDomain::Codes,
             factory,
             fault.into(),
             input,
@@ -1233,7 +908,7 @@ impl MonteCarloEngine {
         E: Fn(&Tensor) -> Result<f32> + Sync,
     {
         self.run_planned_in(
-            BatchedDomain::Codes,
+            SweepDomain::Codes,
             factory,
             fault.into(),
             input,
@@ -1247,7 +922,7 @@ impl MonteCarloEngine {
     #[allow(clippy::too_many_arguments)]
     fn run_planned_in<M, F, E>(
         &self,
-        domain: BatchedDomain,
+        domain: SweepDomain,
         factory: F,
         spec: FaultSpec,
         input: &Tensor,
@@ -1269,10 +944,7 @@ impl MonteCarloEngine {
         let seed = self.seed;
         let mut ledger = RunLedger::new(
             EngineKind::Planned,
-            match domain {
-                BatchedDomain::Weights => SweepDomain::Weights,
-                BatchedDomain::Codes => SweepDomain::Codes,
-            },
+            domain,
             seed,
             runs,
             fault.label(),
@@ -1389,11 +1061,12 @@ impl MonteCarloEngine {
     }
 
     /// Runs the simulation with **compiled plans and B fused fault
-    /// realizations per forward pass** — the composition of
-    /// [`MonteCarloEngine::run_planned`] (one-shot shape inference,
-    /// arena-backed buffers, cached packed panels, dirty-row re-packing)
-    /// and [`MonteCarloEngine::run_batched`] (stacked realizations sharing
-    /// each forward's input-derived work).
+    /// realizations per forward pass**: [`MonteCarloEngine::run_planned`]
+    /// (one-shot shape inference, arena-backed buffers, cached packed
+    /// panels, dirty-row re-packing) with stacked realizations sharing each
+    /// forward's input-derived work. Clean weights are never touched, so
+    /// there is no snapshot/restore, and chip instances are chunked into
+    /// stacks distributed over `threads` rayon workers.
     ///
     /// Each worker builds its model once and compiles it into a **batched
     /// plan** (`Plan::compile_batched`): every weighted layer owns `batch`
@@ -1437,7 +1110,7 @@ impl MonteCarloEngine {
         E: Fn(&Tensor) -> Result<f32> + Sync,
     {
         let outcome = self.run_planned_batched_in(
-            BatchedDomain::Weights,
+            SweepDomain::Weights,
             factory,
             fault.into(),
             input,
@@ -1477,7 +1150,7 @@ impl MonteCarloEngine {
         E: Fn(&Tensor) -> Result<f32> + Sync,
     {
         self.run_planned_batched_in(
-            BatchedDomain::Weights,
+            SweepDomain::Weights,
             factory,
             fault.into(),
             input,
@@ -1515,7 +1188,7 @@ impl MonteCarloEngine {
         E: Fn(&Tensor) -> Result<f32> + Sync,
     {
         let outcome = self.run_planned_batched_in(
-            BatchedDomain::Codes,
+            SweepDomain::Codes,
             factory,
             fault.into(),
             input,
@@ -1552,7 +1225,7 @@ impl MonteCarloEngine {
         E: Fn(&Tensor) -> Result<f32> + Sync,
     {
         self.run_planned_batched_in(
-            BatchedDomain::Codes,
+            SweepDomain::Codes,
             factory,
             fault.into(),
             input,
@@ -1567,7 +1240,7 @@ impl MonteCarloEngine {
     #[allow(clippy::too_many_arguments)]
     fn run_planned_batched_in<M, F, E>(
         &self,
-        domain: BatchedDomain,
+        domain: SweepDomain,
         factory: F,
         spec: FaultSpec,
         input: &Tensor,
@@ -1590,10 +1263,7 @@ impl MonteCarloEngine {
         let seed = self.seed;
         let mut ledger = RunLedger::new(
             EngineKind::PlannedBatched,
-            match domain {
-                BatchedDomain::Weights => SweepDomain::Weights,
-                BatchedDomain::Codes => SweepDomain::Codes,
-            },
+            domain,
             seed,
             runs,
             fault.label(),
@@ -1756,7 +1426,7 @@ impl MonteCarloEngine {
     fn simulate_planned_batch<M: Layer + ?Sized>(
         model: &mut M,
         plan: &mut Plan,
-        domain: BatchedDomain,
+        domain: SweepDomain,
         fault: FaultModel,
         rngs: &mut [Rng],
         realization: &mut Option<Tensor>,
@@ -1764,10 +1434,10 @@ impl MonteCarloEngine {
     ) -> Result<Vec<f32>> {
         let bsize = rngs.len();
         match domain {
-            BatchedDomain::Weights => {
+            SweepDomain::Weights => {
                 WeightFaultInjector::new_unchecked(fault).realize_plan_batch(model, rngs)?;
             }
-            BatchedDomain::Codes => {
+            SweepDomain::Codes => {
                 CodeFaultInjector::new_unchecked(fault).realize_plan_batch(model, rngs)?;
             }
         }
@@ -1807,7 +1477,7 @@ impl MonteCarloEngine {
     fn simulate_planned<M: Layer + ?Sized>(
         model: &mut M,
         plan: &mut Plan,
-        domain: BatchedDomain,
+        domain: SweepDomain,
         fault: FaultModel,
         seed: u64,
         run: usize,
@@ -1815,10 +1485,10 @@ impl MonteCarloEngine {
     ) -> Result<f32> {
         let mut rng = Self::run_rng(seed, run);
         match domain {
-            BatchedDomain::Weights => {
+            SweepDomain::Weights => {
                 WeightFaultInjector::new_unchecked(fault).realize_plan(model, &mut rng)?;
             }
-            BatchedDomain::Codes => {
+            SweepDomain::Codes => {
                 CodeFaultInjector::new_unchecked(fault).realize_plan(model, &mut rng)?;
             }
         }
@@ -1828,60 +1498,6 @@ impl MonteCarloEngine {
         };
         let _span = telemetry::span(telemetry::Phase::Metric);
         metric(out)
-    }
-
-    /// Injects, evaluates and scores one batch of chip instances (whose
-    /// stacked buffers were staged by a prior `begin_batched`) — the inner
-    /// step of the batched engine. Depends only on
-    /// `(seed, start..start+bsize)`, not on which thread executes it.
-    #[allow(clippy::too_many_arguments)]
-    fn simulate_batch<M: Layer + ?Sized>(
-        model: &mut M,
-        domain: BatchedDomain,
-        fault: FaultModel,
-        seed: u64,
-        start: usize,
-        bsize: usize,
-        input: &Tensor,
-        metric: &impl Fn(&Tensor) -> Result<f32>,
-    ) -> Result<Vec<f32>> {
-        let mut rngs: Vec<Rng> = (0..bsize).map(|i| Self::run_rng(seed, start + i)).collect();
-        match domain {
-            BatchedDomain::Weights => {
-                WeightFaultInjector::new_unchecked(fault).realize_batch(model, &mut rngs)?;
-            }
-            BatchedDomain::Codes => {
-                CodeFaultInjector::new_unchecked(fault).realize_batch(model, &mut rngs)?;
-            }
-        }
-        let (out, shared) = {
-            let _span = telemetry::span(telemetry::Phase::Forward);
-            model.forward_batched(input, true, bsize, Mode::Eval)?
-        };
-        let _span = telemetry::span(telemetry::Phase::Metric);
-        let mut metrics = Vec::with_capacity(bsize);
-        if shared {
-            // Degenerate case: no weighted layer diverged the realizations,
-            // so every chip instance scores the same output.
-            let m = metric(&out)?;
-            metrics.resize(bsize, m);
-        } else {
-            let d0 = out.dims()[0];
-            if d0 % bsize != 0 {
-                return Err(NnError::Config(format!(
-                    "batched output rows {d0} not divisible by batch {bsize}"
-                )));
-            }
-            let per = out.numel() / bsize;
-            let mut dims = out.dims().to_vec();
-            dims[0] = d0 / bsize;
-            for b in 0..bsize {
-                let slice = out.data()[b * per..(b + 1) * per].to_vec();
-                let realization = Tensor::from_vec(slice, &dims)?;
-                metrics.push(metric(&realization)?);
-            }
-        }
-        Ok(metrics)
     }
 
     /// Injects, evaluates and restores a single chip instance — the inner
@@ -1933,19 +1549,131 @@ impl MonteCarloEngine {
             .collect()
     }
 
+    /// The degradation ladder, fastest rung first. [`MonteCarloEngine::run`]
+    /// is not a rung: it stays the single-threaded oracle the rungs are
+    /// tested against.
+    const LADDER: [EngineKind; 3] = [
+        EngineKind::PlannedBatched,
+        EngineKind::Planned,
+        EngineKind::Parallel,
+    ];
+
+    /// Walks [`MonteCarloEngine::LADDER`] for [`MonteCarloEngine::run_auto`]
+    /// and [`MonteCarloEngine::run_auto_supervised`]: `rung` runs one engine,
+    /// and the first success is returned with the engine that produced it
+    /// and every rung skipped before it. Under
+    /// [`DegradationPolicy::Strict`] only the fastest rung runs and its
+    /// error propagates as is.
+    fn walk_ladder<T>(
+        policy: DegradationPolicy,
+        lifetime: FaultLifetime,
+        mut rung: impl FnMut(EngineKind) -> Result<T>,
+    ) -> Result<(T, EngineKind, Vec<FallbackStep>)> {
+        let mut fallbacks: Vec<FallbackStep> = Vec::new();
+        if policy == DegradationPolicy::Strict {
+            let engine = Self::LADDER[0];
+            return rung(engine).map(|out| (out, engine, fallbacks));
+        }
+        for engine in Self::LADDER {
+            // Pre-flight: the parallel engine has no fault-lifetime model
+            // (its snapshot/restore bracket outlives a forward pass), so a
+            // per-inference lifetime cannot reach it.
+            if lifetime == FaultLifetime::PerInference && engine == EngineKind::Parallel {
+                telemetry::count(telemetry::Counter::LadderFallbacks, 1);
+                fallbacks.push(FallbackStep {
+                    engine,
+                    reason: FallbackReason::Lifetime,
+                });
+                continue;
+            }
+            match rung(engine) {
+                Ok(out) => return Ok((out, engine, fallbacks)),
+                // A capability gap, not a failure: record it and degrade.
+                Err(NnError::Unsupported { layer, op }) => {
+                    telemetry::count(telemetry::Counter::LadderFallbacks, 1);
+                    fallbacks.push(FallbackStep {
+                        engine,
+                        reason: FallbackReason::Unsupported { layer, op },
+                    });
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        let reasons = fallbacks
+            .iter()
+            .map(|step| format!("{} ({})", step.engine.name(), step.reason))
+            .collect::<Vec<_>>()
+            .join(", ");
+        Err(NnError::fault_unsupported(
+            "MonteCarloEngine::run_auto",
+            format!("the fault configuration on any engine: {reasons}"),
+        ))
+    }
+
+    /// Runs one ladder rung through the shared engine bodies — the legacy
+    /// entry points' body when `catch` is false, the supervised one's when
+    /// it is true. The sequential engine is not a rung; being asked for it
+    /// (only a resume checkpoint can ask) is a typed mismatch.
+    #[allow(clippy::too_many_arguments)]
+    fn run_rung<M, F, E>(
+        &self,
+        engine: EngineKind,
+        domain: SweepDomain,
+        factory: &F,
+        spec: FaultSpec,
+        input: &Tensor,
+        metric: &E,
+        batch: usize,
+        threads: usize,
+        control: &SweepControl,
+        catch: bool,
+    ) -> Result<SweepOutcome>
+    where
+        M: Layer + Send,
+        F: Fn() -> M + Sync,
+        E: Fn(&Tensor) -> Result<f32> + Sync,
+    {
+        match engine {
+            EngineKind::PlannedBatched => self.run_planned_batched_in(
+                domain, factory, spec, input, metric, batch, threads, control, catch,
+            ),
+            EngineKind::Planned => self.run_planned_in(
+                domain, factory, spec, input, metric, threads, control, catch,
+            ),
+            EngineKind::Parallel => self.run_parallel_impl(
+                factory,
+                spec,
+                |m: &mut M| {
+                    let out = m.forward(input, Mode::Eval)?;
+                    metric(&out)
+                },
+                threads,
+                control,
+                catch,
+            ),
+            EngineKind::Sequential => Err(NnError::Checkpoint(CheckpointFault::Mismatch {
+                field: "engine",
+                expected: "a ladder engine (run_auto_supervised never runs the sequential \
+                           engine)"
+                    .into(),
+                got: engine.name().into(),
+            })),
+        }
+    }
+
     /// Runs the simulation on the fastest engine that supports the fault
     /// configuration and the network, degrading gracefully down the ladder
-    /// `run_planned_batched` → `run_planned` → `run_batched` →
-    /// `run_parallel` and reporting every skipped rung with a typed reason.
+    /// `run_planned_batched` → `run_planned` → `run_parallel` and reporting
+    /// every skipped rung with a typed reason.
     ///
     /// Two kinds of capability gaps trigger a fallback:
     ///
     /// - **Lifetime**: a per-inference fault lifetime is only honored by the
     ///   planned engines (the plan re-realizes before every forward and
-    ///   disables frozen-input caching); the direct batched and parallel
-    ///   engines are skipped pre-flight with [`FallbackReason::Lifetime`].
-    /// - **Layer support**: a layer that rejects compiled plans or batched
-    ///   evaluation surfaces as [`NnError::Unsupported`], recorded as
+    ///   disables frozen-input caching); the parallel engine is skipped
+    ///   pre-flight with [`FallbackReason::Lifetime`].
+    /// - **Layer support**: a layer that rejects compiled plans surfaces as
+    ///   [`NnError::Unsupported`], recorded as
     ///   [`FallbackReason::Unsupported`]; the ladder continues downward.
     ///   `run_parallel` at the bottom supports every layer.
     ///
@@ -1982,81 +1710,27 @@ impl MonteCarloEngine {
     {
         let spec = fault.into();
         spec.model.validate()?;
-        if policy == DegradationPolicy::Strict {
-            let summary = self.run_planned_batched(factory, spec, input, metric, batch, threads)?;
-            return Ok(LadderOutcome {
-                summary,
-                engine: EngineKind::PlannedBatched,
-                fallbacks: Vec::new(),
-            });
-        }
-        let mut fallbacks: Vec<FallbackStep> = Vec::new();
-        for engine in [
-            EngineKind::PlannedBatched,
-            EngineKind::Planned,
-            EngineKind::Batched,
-            EngineKind::Parallel,
-        ] {
-            // Pre-flight: the direct engines have no fault-lifetime model
-            // (their realizations outlive a forward pass), so a
-            // per-inference lifetime cannot reach them.
-            if spec.lifetime == FaultLifetime::PerInference
-                && matches!(engine, EngineKind::Batched | EngineKind::Parallel)
-            {
-                telemetry::count(telemetry::Counter::LadderFallbacks, 1);
-                fallbacks.push(FallbackStep {
-                    engine,
-                    reason: FallbackReason::Lifetime,
-                });
-                continue;
-            }
-            let result = match engine {
-                EngineKind::PlannedBatched => {
-                    self.run_planned_batched(&factory, spec, input, &metric, batch, threads)
-                }
-                EngineKind::Planned => self.run_planned(&factory, spec, input, &metric, threads),
-                EngineKind::Batched => {
-                    self.run_batched(&factory, spec, input, &metric, batch, threads)
-                }
-                EngineKind::Parallel => self.run_parallel(
-                    &factory,
-                    spec,
-                    |m: &mut M| {
-                        let out = m.forward(input, Mode::Eval)?;
-                        metric(&out)
-                    },
-                    threads,
-                ),
-                EngineKind::Sequential => unreachable!("the ladder never visits run"),
-            };
-            match result {
-                Ok(summary) => {
-                    return Ok(LadderOutcome {
-                        summary,
-                        engine,
-                        fallbacks,
-                    })
-                }
-                // A capability gap, not a failure: record it and degrade.
-                Err(NnError::Unsupported { layer, op }) => {
-                    telemetry::count(telemetry::Counter::LadderFallbacks, 1);
-                    fallbacks.push(FallbackStep {
-                        engine,
-                        reason: FallbackReason::Unsupported { layer, op },
-                    });
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        let reasons = fallbacks
-            .iter()
-            .map(|step| format!("{} ({})", step.engine.name(), step.reason))
-            .collect::<Vec<_>>()
-            .join(", ");
-        Err(NnError::fault_unsupported(
-            "MonteCarloEngine::run_auto",
-            format!("the fault configuration on any engine: {reasons}"),
-        ))
+        let control = SweepControl::default();
+        let (summary, engine, fallbacks) = Self::walk_ladder(policy, spec.lifetime, |engine| {
+            let outcome = self.run_rung(
+                engine,
+                SweepDomain::Weights,
+                &factory,
+                spec,
+                input,
+                &metric,
+                batch,
+                threads,
+                &control,
+                false,
+            )?;
+            Self::unwrap_legacy(outcome)
+        })?;
+        Ok(LadderOutcome {
+            summary,
+            engine,
+            fallbacks,
+        })
     }
 
     /// The supervised counterpart of [`MonteCarloEngine::run_auto`]: the same
@@ -2099,137 +1773,26 @@ impl MonteCarloEngine {
     {
         let spec = fault.into();
         spec.model.validate()?;
-        if let Some(checkpoint) = control.resume.as_ref() {
-            let engine = checkpoint.engine;
-            let outcome = match engine {
-                EngineKind::PlannedBatched => match checkpoint.domain {
-                    SweepDomain::Weights => self.run_planned_batched_supervised(
-                        factory, spec, input, metric, batch, threads, control,
-                    )?,
-                    SweepDomain::Codes => self.run_planned_batched_quantized_supervised(
-                        factory, spec, input, metric, batch, threads, control,
-                    )?,
-                },
-                EngineKind::Planned => match checkpoint.domain {
-                    SweepDomain::Weights => {
-                        self.run_planned_supervised(factory, spec, input, metric, threads, control)?
-                    }
-                    SweepDomain::Codes => self.run_planned_quantized_supervised(
-                        factory, spec, input, metric, threads, control,
-                    )?,
-                },
-                EngineKind::Batched => match checkpoint.domain {
-                    SweepDomain::Weights => self.run_batched_supervised(
-                        factory, spec, input, metric, batch, threads, control,
-                    )?,
-                    SweepDomain::Codes => self.run_batched_quantized_supervised(
-                        factory, spec, input, metric, batch, threads, control,
-                    )?,
-                },
-                EngineKind::Parallel => self.run_parallel_supervised(
-                    factory,
-                    spec,
-                    |m: &mut M| {
-                        let out = m.forward(input, Mode::Eval)?;
-                        metric(&out)
-                    },
-                    threads,
-                    control,
-                )?,
-                EngineKind::Sequential => {
-                    return Err(NnError::Checkpoint(CheckpointFault::Mismatch {
-                        field: "engine",
-                        expected: "a ladder engine (run_auto_supervised never runs \
-                                   the sequential engine)"
-                            .into(),
-                        got: engine.name().into(),
-                    }))
-                }
-            };
-            return Ok(SupervisedLadderOutcome {
-                outcome,
-                engine,
-                fallbacks: Vec::new(),
-            });
-        }
-        if policy == DegradationPolicy::Strict {
-            let outcome = self.run_planned_batched_supervised(
-                factory, spec, input, metric, batch, threads, control,
-            )?;
-            return Ok(SupervisedLadderOutcome {
-                outcome,
-                engine: EngineKind::PlannedBatched,
-                fallbacks: Vec::new(),
-            });
-        }
-        let mut fallbacks: Vec<FallbackStep> = Vec::new();
-        for engine in [
-            EngineKind::PlannedBatched,
-            EngineKind::Planned,
-            EngineKind::Batched,
-            EngineKind::Parallel,
-        ] {
-            // Pre-flight: same lifetime capability gaps as the legacy ladder.
-            if spec.lifetime == FaultLifetime::PerInference
-                && matches!(engine, EngineKind::Batched | EngineKind::Parallel)
-            {
-                telemetry::count(telemetry::Counter::LadderFallbacks, 1);
-                fallbacks.push(FallbackStep {
-                    engine,
-                    reason: FallbackReason::Lifetime,
-                });
-                continue;
-            }
-            let result = match engine {
-                EngineKind::PlannedBatched => self.run_planned_batched_supervised(
-                    &factory, spec, input, &metric, batch, threads, control,
-                ),
-                EngineKind::Planned => {
-                    self.run_planned_supervised(&factory, spec, input, &metric, threads, control)
-                }
-                EngineKind::Batched => self.run_batched_supervised(
-                    &factory, spec, input, &metric, batch, threads, control,
-                ),
-                EngineKind::Parallel => self.run_parallel_supervised(
-                    &factory,
-                    spec,
-                    |m: &mut M| {
-                        let out = m.forward(input, Mode::Eval)?;
-                        metric(&out)
-                    },
-                    threads,
-                    control,
-                ),
-                EngineKind::Sequential => unreachable!("the ladder never visits run"),
-            };
-            match result {
-                Ok(outcome) => {
-                    return Ok(SupervisedLadderOutcome {
-                        outcome,
-                        engine,
-                        fallbacks,
-                    })
-                }
-                // A capability gap, not a failure: record it and degrade.
-                Err(NnError::Unsupported { layer, op }) => {
-                    telemetry::count(telemetry::Counter::LadderFallbacks, 1);
-                    fallbacks.push(FallbackStep {
-                        engine,
-                        reason: FallbackReason::Unsupported { layer, op },
-                    });
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        let reasons = fallbacks
-            .iter()
-            .map(|step| format!("{} ({})", step.engine.name(), step.reason))
-            .collect::<Vec<_>>()
-            .join(", ");
-        Err(NnError::fault_unsupported(
-            "MonteCarloEngine::run_auto",
-            format!("the fault configuration on any engine: {reasons}"),
-        ))
+        let run = |engine, domain| {
+            self.run_rung(
+                engine, domain, &factory, spec, input, &metric, batch, threads, control, true,
+            )
+        };
+        let (outcome, engine, fallbacks) = match control.resume.as_ref() {
+            Some(checkpoint) => (
+                run(checkpoint.engine, checkpoint.domain)?,
+                checkpoint.engine,
+                Vec::new(),
+            ),
+            None => Self::walk_ladder(policy, spec.lifetime, |engine| {
+                run(engine, SweepDomain::Weights)
+            })?,
+        };
+        Ok(SupervisedLadderOutcome {
+            outcome,
+            engine,
+            fallbacks,
+        })
     }
 }
 
@@ -2563,7 +2126,7 @@ mod tests {
 
     /// An MLP with a normalization layer in the middle: the norm's rank-1
     /// affine parameters shift the global parameter indices, exercising the
-    /// index re-basing that keeps batched RNG streams aligned with the
+    /// index re-basing that keeps planned RNG streams aligned with the
     /// sequential injector.
     fn mlp_with_norm(seed: u64) -> Sequential {
         use invnorm_nn::activation::Relu;
@@ -2574,46 +2137,6 @@ mod tests {
             .with(Box::new(GroupNorm::layer_norm(16)))
             .with(Box::new(Relu::new()))
             .with(Box::new(Linear::new(16, 4, &mut rng)))
-    }
-
-    #[test]
-    fn batched_is_bit_identical_to_sequential_for_all_fault_models() {
-        let x = Tensor::randn(&[6, 8], 0.0, 1.0, &mut Rng::seed_from(50));
-        let engine = MonteCarloEngine::new(10, 1234);
-        for fault in all_fault_models() {
-            let mut net = mlp_with_norm(51);
-            let xc = x.clone();
-            let sequential = engine
-                .run(&mut net, fault, |n| Ok(n.forward(&xc, Mode::Eval)?.sum()))
-                .unwrap();
-            for batch in [1usize, 3, 10] {
-                for threads in [1usize, 4] {
-                    let batched = engine
-                        .run_batched(
-                            || mlp_with_norm(51),
-                            fault,
-                            &x,
-                            |out| Ok(out.sum()),
-                            batch,
-                            threads,
-                        )
-                        .unwrap();
-                    assert_eq!(batched.runs(), sequential.runs());
-                    let identical = sequential
-                        .per_run
-                        .iter()
-                        .zip(batched.per_run.iter())
-                        .all(|(a, b)| a.to_bits() == b.to_bits());
-                    assert!(
-                        identical,
-                        "{fault:?} batch={batch} threads={threads}: {:?} vs {:?}",
-                        sequential.per_run, batched.per_run
-                    );
-                    assert_eq!(batched.mean.to_bits(), sequential.mean.to_bits());
-                    assert_eq!(batched.std.to_bits(), sequential.std.to_bits());
-                }
-            }
-        }
     }
 
     fn small_cnn(seed: u64) -> Sequential {
@@ -2632,80 +2155,6 @@ mod tests {
             .with(Box::new(Linear::new(6 * 4 * 4, 3, &mut rng)))
     }
 
-    #[test]
-    fn batched_cnn_is_bit_identical_to_sequential() {
-        let x = Tensor::randn(&[3, 2, 8, 8], 0.0, 1.0, &mut Rng::seed_from(60));
-        let engine = MonteCarloEngine::new(9, 77);
-        for fault in [
-            FaultModel::AdditiveVariation { sigma: 0.2 },
-            FaultModel::StuckAt { rate: 0.1 },
-        ] {
-            let mut net = small_cnn(61);
-            let xc = x.clone();
-            let sequential = engine
-                .run(&mut net, fault, |n| {
-                    Ok(n.forward(&xc, Mode::Eval)?.abs().mean())
-                })
-                .unwrap();
-            for (batch, threads) in [(4usize, 1usize), (3, 4), (9, 2)] {
-                let batched = engine
-                    .run_batched(
-                        || small_cnn(61),
-                        fault,
-                        &x,
-                        |out| Ok(out.abs().mean()),
-                        batch,
-                        threads,
-                    )
-                    .unwrap();
-                let identical = sequential
-                    .per_run
-                    .iter()
-                    .zip(batched.per_run.iter())
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-                assert!(identical, "{fault:?} batch={batch} threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn batched_residual_block_is_bit_identical_to_sequential() {
-        use invnorm_nn::activation::Relu;
-        use invnorm_nn::Residual;
-        let build = |seed: u64| -> Sequential {
-            let mut rng = Rng::seed_from(seed);
-            let main = Sequential::new()
-                .with(Box::new(Linear::new(6, 6, &mut rng)))
-                .with(Box::new(Relu::new()));
-            Sequential::new()
-                .with(Box::new(
-                    Residual::new(main).with_post(Box::new(Relu::new())),
-                ))
-                .with(Box::new(Linear::new(6, 2, &mut rng)))
-        };
-        let x = Tensor::randn(&[4, 6], 0.0, 1.0, &mut Rng::seed_from(70));
-        let engine = MonteCarloEngine::new(8, 99);
-        let fault = FaultModel::AdditiveVariation { sigma: 0.25 };
-        let mut net = build(71);
-        let xc = x.clone();
-        let sequential = engine
-            .run(&mut net, fault, |n| Ok(n.forward(&xc, Mode::Eval)?.sum()))
-            .unwrap();
-        let batched = engine
-            .run_batched(|| build(71), fault, &x, |out| Ok(out.sum()), 3, 2)
-            .unwrap();
-        let identical = sequential
-            .per_run
-            .iter()
-            .zip(batched.per_run.iter())
-            .all(|(a, b)| a.to_bits() == b.to_bits());
-        assert!(
-            identical,
-            "{:?} vs {:?}",
-            sequential.per_run, batched.per_run
-        );
-    }
-
     fn quantized_net(seed: u64) -> Sequential {
         use invnorm_nn::activation::Relu;
         use invnorm_nn::quantized::QuantizedLinear;
@@ -2716,40 +2165,6 @@ mod tests {
             .with(Box::new(QuantizedLinear::from_linear(&l1, 8).unwrap()))
             .with(Box::new(Relu::new()))
             .with(Box::new(QuantizedLinear::from_linear(&l2, 6).unwrap()))
-    }
-
-    #[test]
-    fn batched_quantized_is_bit_identical_to_sequential_for_all_fault_models() {
-        let x = Tensor::randn(&[5, 12], 0.0, 1.0, &mut Rng::seed_from(80));
-        let engine = MonteCarloEngine::new(10, 4321);
-        for fault in all_fault_models() {
-            let mut net = quantized_net(81);
-            let xc = x.clone();
-            let sequential = engine
-                .run_quantized(&mut net, fault, |n| Ok(n.forward(&xc, Mode::Eval)?.sum()))
-                .unwrap();
-            for (batch, threads) in [(1usize, 1usize), (3, 4), (10, 2)] {
-                let batched = engine
-                    .run_batched_quantized(
-                        || quantized_net(81),
-                        fault,
-                        &x,
-                        |out| Ok(out.sum()),
-                        batch,
-                        threads,
-                    )
-                    .unwrap();
-                // Same streams, same integer GEMM, same dequantization
-                // expression: the quantized batched path is not merely
-                // within quantization tolerance — it is bit-identical.
-                let identical = sequential
-                    .per_run
-                    .iter()
-                    .zip(batched.per_run.iter())
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-                assert!(identical, "{fault:?} batch={batch} threads={threads}");
-            }
-        }
     }
 
     #[test]
@@ -3135,59 +2550,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_rejects_unsupported_layers_loudly() {
-        use invnorm_nn::lstm::Lstm;
-        let build = || -> Sequential {
-            let mut rng = Rng::seed_from(90);
-            Sequential::new().with(Box::new(Lstm::new(4, 6, false, &mut rng)))
-        };
-        let x = Tensor::randn(&[2, 5, 4], 0.0, 1.0, &mut Rng::seed_from(91));
-        let engine = MonteCarloEngine::new(4, 7);
-        let err = engine
-            .run_batched(
-                build,
-                FaultModel::AdditiveVariation { sigma: 0.1 },
-                &x,
-                |out| Ok(out.sum()),
-                2,
-                1,
-            )
-            .unwrap_err()
-            .to_string();
-        assert!(
-            err.contains("batched evaluation"),
-            "unexpected error: {err}"
-        );
-    }
-
-    #[test]
-    fn batched_metric_errors_and_non_finite_metrics_are_reported() {
-        let engine = MonteCarloEngine::new(6, 5);
-        let x = Tensor::randn(&[4, 8], 0.0, 1.0, &mut Rng::seed_from(95));
-        let result = engine.run_batched(
-            || mlp_with_norm(96),
-            FaultModel::None,
-            &x,
-            |_out| Err(NnError::Config("boom".into())),
-            2,
-            2,
-        );
-        assert!(result.is_err());
-        let err = engine
-            .run_batched(
-                || mlp_with_norm(96),
-                FaultModel::AdditiveVariation { sigma: 0.1 },
-                &x,
-                |_out| Ok(f32::NAN),
-                2,
-                2,
-            )
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("on run 0"), "unexpected error: {err}");
-    }
-
-    #[test]
     fn run_count_is_at_least_one() {
         assert_eq!(MonteCarloEngine::new(0, 1).runs(), 1);
         assert_eq!(MonteCarloEngine::paper_default().runs(), 100);
@@ -3247,9 +2609,6 @@ mod tests {
                             threads,
                         )
                         .unwrap();
-                    let batched = engine
-                        .run_batched(|| build(seed), fault, &x, |out| Ok(out.sum()), 3, threads)
-                        .unwrap();
                     let planned = engine
                         .run_planned(|| build(seed), fault, &x, |out| Ok(out.sum()), threads)
                         .unwrap();
@@ -3265,7 +2624,6 @@ mod tests {
                         .unwrap();
                     for (name, summary) in [
                         ("run_parallel", &parallel),
-                        ("run_batched", &batched),
                         ("run_planned", &planned),
                         ("run_planned_batched", &planned_batched),
                     ] {
@@ -3298,16 +2656,6 @@ mod tests {
                 .run_quantized(&mut net, fault, |n| Ok(n.forward(&xc, Mode::Eval)?.sum()))
                 .unwrap();
             for threads in [1usize, 4] {
-                let batched = engine
-                    .run_batched_quantized(
-                        || quantized_net(222),
-                        fault,
-                        &x,
-                        |out| Ok(out.sum()),
-                        3,
-                        threads,
-                    )
-                    .unwrap();
                 let planned = engine
                     .run_planned_quantized(
                         || quantized_net(222),
@@ -3328,7 +2676,6 @@ mod tests {
                     )
                     .unwrap();
                 for (name, summary) in [
-                    ("run_batched_quantized", &batched),
                     ("run_planned_quantized", &planned),
                     ("run_planned_batched_quantized", &planned_batched),
                 ] {
@@ -3489,14 +2836,6 @@ mod tests {
             .to_string();
         assert!(err.contains("MonteCarloEngine::run_parallel"), "{err}");
 
-        let err = engine
-            .run_batched(|| mlp_with_norm(252), spec, &x, |o| Ok(o.sum()), 2, 2)
-            .unwrap_err();
-        assert_eq!(
-            err.to_string(),
-            "MonteCarloEngine::run_batched does not support per-inference fault lifetime"
-        );
-
         let xq = Tensor::randn(&[3, 12], 0.0, 1.0, &mut Rng::seed_from(253));
         let mut qnet = quantized_net(254);
         let xc = xq.clone();
@@ -3505,14 +2844,6 @@ mod tests {
             .unwrap_err()
             .to_string();
         assert!(err.contains("MonteCarloEngine::run_quantized"), "{err}");
-        let err = engine
-            .run_batched_quantized(|| quantized_net(254), spec, &xq, |o| Ok(o.sum()), 2, 2)
-            .unwrap_err()
-            .to_string();
-        assert!(
-            err.contains("MonteCarloEngine::run_batched_quantized"),
-            "{err}"
-        );
     }
 
     /// The ladder on a fully-capable network: the fastest engine wins, no
@@ -3551,7 +2882,7 @@ mod tests {
         }
     }
 
-    /// An unplannable, unbatchable layer (Lstm) degrades all the way to
+    /// An unplannable layer (Lstm) degrades all the way to
     /// `run_parallel` under the graceful policy, with one typed reason per
     /// skipped rung — and still reproduces the sequential reference.
     #[test]
@@ -3581,12 +2912,12 @@ mod tests {
             )
             .unwrap();
         assert_eq!(outcome.engine, EngineKind::Parallel);
-        assert_eq!(outcome.fallbacks.len(), 3);
-        for (step, expected_engine) in outcome.fallbacks.iter().zip([
-            EngineKind::PlannedBatched,
-            EngineKind::Planned,
-            EngineKind::Batched,
-        ]) {
+        assert_eq!(outcome.fallbacks.len(), 2);
+        for (step, expected_engine) in outcome
+            .fallbacks
+            .iter()
+            .zip([EngineKind::PlannedBatched, EngineKind::Planned])
+        {
             assert_eq!(step.engine, expected_engine);
             match &step.reason {
                 FallbackReason::Unsupported { layer, .. } => assert_eq!(*layer, "Lstm"),
@@ -3619,7 +2950,7 @@ mod tests {
         );
     }
 
-    /// A per-inference lifetime rules out the direct engines pre-flight; an
+    /// A per-inference lifetime rules out the parallel engine pre-flight; an
     /// unplannable layer rules out the planned ones. Together they exhaust
     /// the ladder, and the error lists every rung's reason.
     #[test]
@@ -3649,7 +2980,6 @@ mod tests {
             "MonteCarloEngine::run_auto",
             "run_planned_batched",
             "run_planned",
-            "run_batched",
             "run_parallel",
             "Lstm",
             "no per-inference fault lifetime model",

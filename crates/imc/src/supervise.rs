@@ -634,7 +634,7 @@ fn engine_tag(engine: EngineKind) -> u8 {
     match engine {
         EngineKind::PlannedBatched => 0,
         EngineKind::Planned => 1,
-        EngineKind::Batched => 2,
+        // Tag 2 is retired (see `EngineKind`); `engine_from_tag` rejects it.
         EngineKind::Parallel => 3,
         EngineKind::Sequential => 4,
     }
@@ -644,10 +644,9 @@ fn engine_from_tag(tag: u8) -> Result<EngineKind> {
     Ok(match tag {
         0 => EngineKind::PlannedBatched,
         1 => EngineKind::Planned,
-        2 => EngineKind::Batched,
         3 => EngineKind::Parallel,
         4 => EngineKind::Sequential,
-        other => return Err(mismatch("engine tag", "0..=4", other)),
+        other => return Err(mismatch("engine tag", "0, 1, 3 or 4", other)),
     })
 }
 
@@ -811,6 +810,49 @@ mod tests {
     }
 
     #[test]
+    fn engine_tags_decode_except_the_retired_batched_tag() {
+        for (engine, tag) in [
+            (EngineKind::PlannedBatched, 0u8),
+            (EngineKind::Planned, 1),
+            (EngineKind::Parallel, 3),
+            (EngineKind::Sequential, 4),
+        ] {
+            assert_eq!(engine_tag(engine), tag);
+            assert_eq!(engine_from_tag(tag).unwrap(), engine);
+            let cp = SweepCheckpoint {
+                engine,
+                ..sample_checkpoint()
+            };
+            let back = SweepCheckpoint::from_bytes(&cp.to_bytes()).unwrap();
+            assert_eq!(back.engine, engine);
+            assert_eq!(back.completed, cp.completed);
+        }
+        assert!(matches!(
+            engine_from_tag(2),
+            Err(NnError::Checkpoint(CheckpointFault::Mismatch {
+                field: "engine tag",
+                ..
+            }))
+        ));
+        // A well-framed checkpoint carrying tag 2 (seed and run count
+        // precede the engine byte) is rejected on decode.
+        let bytes = sample_checkpoint().to_bytes();
+        let mut payload = verify_frame(&bytes, SweepCheckpoint::MAGIC, SweepCheckpoint::VERSION)
+            .unwrap()
+            .to_vec();
+        assert_eq!(payload[12], engine_tag(EngineKind::Planned));
+        payload[12] = 2;
+        let forged = frame(payload, SweepCheckpoint::MAGIC, SweepCheckpoint::VERSION);
+        assert!(matches!(
+            SweepCheckpoint::from_bytes(&forged),
+            Err(NnError::Checkpoint(CheckpointFault::Mismatch {
+                field: "engine tag",
+                ..
+            }))
+        ));
+    }
+
+    #[test]
     fn budget_interrupts_on_token_and_deadline() {
         let budget = RunBudget::unbounded();
         assert!(!budget.is_bounded());
@@ -858,7 +900,7 @@ mod tests {
         // Each identity field is pinned.
         for (engine, domain, seed, runs, label) in [
             (
-                EngineKind::Batched,
+                EngineKind::Parallel,
                 SweepDomain::Codes,
                 0xDEAD_BEEFu64,
                 12usize,

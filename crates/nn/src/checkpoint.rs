@@ -162,7 +162,16 @@ impl Checkpoint {
                 dims.push(read_u64(&mut cursor)? as usize);
             }
             let len = read_u64(&mut cursor)? as usize;
-            let expected: usize = dims.iter().product();
+            // Sizes come from the file: an element count that overflows, or
+            // a length the remaining payload cannot hold, is rejected before
+            // anything is allocated for it.
+            let Some(expected) = dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d)) else {
+                return Err(NnError::Checkpoint(CheckpointFault::Mismatch {
+                    field: "entry shape",
+                    expected: "an element count that fits in usize".into(),
+                    got: format!("{dims:?}"),
+                }));
+            };
             if expected != len {
                 return Err(NnError::Checkpoint(CheckpointFault::Mismatch {
                     field: "entry length",
@@ -170,13 +179,16 @@ impl Checkpoint {
                     got: len.to_string(),
                 }));
             }
-            let mut data = Vec::with_capacity(len);
-            for _ in 0..len {
-                let end = cursor + 4;
-                let slice = payload.get(cursor..end).ok_or(truncated(cursor, 4))?;
-                cursor = end;
-                data.push(f32::from_le_bytes(slice.try_into().expect("4-byte slice")));
-            }
+            let available = payload.len() - cursor;
+            let bytes = match len.checked_mul(4) {
+                Some(n) if n <= available => &payload[cursor..cursor + n],
+                needed => return Err(truncated(cursor, needed.unwrap_or(usize::MAX))),
+            };
+            cursor += bytes.len();
+            let data = bytes
+                .chunks_exact(4)
+                .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte chunk")))
+                .collect();
             entries.push(CheckpointEntry { dims, data });
         }
         if cursor != payload.len() {
@@ -395,6 +407,39 @@ mod tests {
                 assert_eq!(got, 7);
             }
             other => panic!("version skew not detected: {other:?}"),
+        }
+    }
+
+    /// Sizes read from a checksum-valid file are still untrusted: an
+    /// overflowing shape or a length the payload cannot hold must come back
+    /// as a typed error, never a panic or a file-sized allocation.
+    #[test]
+    fn forged_sizes_are_rejected_without_panicking() {
+        use crate::error::CheckpointFault;
+        let forge = |dims: &[u64], len: u64| {
+            let mut payload = Vec::new();
+            payload.extend_from_slice(&1u64.to_le_bytes());
+            payload.extend_from_slice(&(dims.len() as u64).to_le_bytes());
+            for d in dims {
+                payload.extend_from_slice(&d.to_le_bytes());
+            }
+            payload.extend_from_slice(&len.to_le_bytes());
+            frame(payload, MAGIC, VERSION)
+        };
+        // 2^33 · 2^33 overflows the element count.
+        assert!(matches!(
+            Checkpoint::from_bytes(&forge(&[1 << 33, 1 << 33], 0)),
+            Err(NnError::Checkpoint(CheckpointFault::Mismatch {
+                field: "entry shape",
+                ..
+            }))
+        ));
+        // A consistent shape and length far larger than the payload.
+        for len in [1u64 << 40, u64::MAX / 2] {
+            assert!(matches!(
+                Checkpoint::from_bytes(&forge(&[len], len)),
+                Err(NnError::Checkpoint(CheckpointFault::Truncated { .. }))
+            ));
         }
     }
 

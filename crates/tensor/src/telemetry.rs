@@ -59,15 +59,14 @@ pub enum Phase {
     Repack = 2,
     /// Fault realization (injector `inject`/`realize_*` entry points).
     Inject = 3,
-    /// Network forward evaluation (direct, batched or planned).
+    /// Network forward evaluation (direct or planned).
     Forward = 4,
     /// Blocked (q)GEMM kernel invocations.
     Gemm = 5,
-    /// Materialized im2col patch-matrix extraction. Only training, the i8
-    /// quantized path and the direct batched engine still build a patch
-    /// matrix; f32 inference gathers patches inside the GEMM's packing
-    /// step, so its time is counted under [`Phase::Gemm`] (or
-    /// [`Phase::Pack`] for a cached packed operand).
+    /// Materialized im2col patch-matrix extraction. Only training and the
+    /// i8 quantized path still build a patch matrix; f32 inference gathers
+    /// patches inside the GEMM's packing step, so its time is counted under
+    /// [`Phase::Gemm`] (or [`Phase::Pack`] for a cached packed operand).
     Im2col = 6,
     /// Metric evaluation over a realization's output.
     Metric = 7,

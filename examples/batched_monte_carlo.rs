@@ -1,6 +1,7 @@
-//! Batched Monte-Carlo fault simulation: evaluates B fault realizations per
-//! forward pass and verifies the result is **bit-identical** to the
-//! sequential engine — then prints the wall-clock advantage.
+//! Fused planned-batched Monte-Carlo fault simulation: compiles the network
+//! into a batched plan, evaluates B stacked fault realizations per forward
+//! pass, and verifies the result is **bit-identical** to the sequential
+//! engine — then prints the wall-clock advantage.
 //!
 //! Run with `cargo run --release --example batched_monte_carlo`.
 
@@ -16,7 +17,7 @@ use invnorm_nn::{NnError, Sequential};
 use invnorm_tensor::{Rng, Tensor};
 use std::time::Instant;
 
-/// A small CIFAR-shaped CNN built from batched-eval-capable layers.
+/// A small CIFAR-shaped CNN built from plan-capable layers.
 fn build_cnn(seed: u64) -> Sequential {
     let mut rng = Rng::seed_from(seed);
     Sequential::new()
@@ -61,9 +62,10 @@ fn main() -> Result<(), NnError> {
         })?;
         let seq_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-        // Batched engine: 16 realizations fused into each forward pass.
+        // Planned-batched engine: up to 16 realizations stacked into each
+        // compiled forward pass.
         let t0 = Instant::now();
-        let batched = engine.run_batched(
+        let batched = engine.run_planned_batched(
             || build_cnn(11),
             fault,
             &x,

@@ -7,8 +7,8 @@
 //! [`FaultLifetime`]) — and runs them through
 //! `MonteCarloEngine::run_auto`, which picks the fastest engine that
 //! supports each configuration and degrades down the ladder
-//! `run_planned_batched → run_planned → run_batched → run_parallel` with a
-//! typed reason per skipped rung. Every claim printed below is asserted.
+//! `run_planned_batched → run_planned → run_parallel` with a typed reason
+//! per skipped rung. Every claim printed below is asserted.
 //!
 //! Run with `cargo run --release --example structured_faults`.
 
@@ -18,7 +18,7 @@ use invnorm_imc::{
     LineOrientation, TileShape,
 };
 use invnorm_nn::activation::Relu;
-use invnorm_nn::layer::Mode;
+use invnorm_nn::layer::{Layer, Mode};
 use invnorm_nn::linear::Linear;
 use invnorm_nn::lstm::Lstm;
 use invnorm_nn::norm::GroupNorm;
@@ -109,12 +109,10 @@ fn main() -> Result<(), NnError> {
         FaultLifetime::PerInference,
     );
     let err = engine
-        .run_batched(
+        .run_parallel(
             || build_mlp(7),
             read_noise,
-            &x,
-            |o| Ok(o.abs().mean()),
-            8,
+            |m: &mut Sequential| Ok(m.forward(&x, Mode::Eval)?.abs().mean()),
             4,
         )
         .unwrap_err();
@@ -151,8 +149,8 @@ fn main() -> Result<(), NnError> {
         outcome.summary.mean
     );
 
-    // An Lstm supports neither compiled plans nor batched evaluation: the
-    // ladder records one typed reason per skipped rung and lands on
+    // An Lstm does not support compiled plans: the ladder records one typed
+    // reason per skipped planned rung and lands on
     // run_parallel, which supports every layer.
     let build_lstm = || -> Sequential {
         let mut rng = Rng::seed_from(21);
@@ -169,7 +167,7 @@ fn main() -> Result<(), NnError> {
         DegradationPolicy::Graceful,
     )?;
     assert_eq!(outcome.engine, EngineKind::Parallel);
-    assert_eq!(outcome.fallbacks.len(), 3);
+    assert_eq!(outcome.fallbacks.len(), 2);
     println!("\nLstm network degraded to {}:", outcome.engine.name());
     for step in &outcome.fallbacks {
         assert!(matches!(

@@ -178,30 +178,6 @@ fn resume_is_bit_identical_on_every_weight_domain_engine() {
             },
         );
         interrupt_resume_bit_identity(
-            &format!("run_batched_supervised threads={threads}"),
-            &baseline,
-            |control, token, k| {
-                let calls = AtomicUsize::new(0);
-                engine
-                    .run_batched_supervised(
-                        || mlp(7),
-                        fault,
-                        &x,
-                        |out: &Tensor| {
-                            let v = out.sum();
-                            if calls.fetch_add(1, Ordering::Relaxed) + 1 >= k {
-                                token.cancel();
-                            }
-                            Ok(v)
-                        },
-                        5,
-                        threads,
-                        control,
-                    )
-                    .unwrap()
-            },
-        );
-        interrupt_resume_bit_identity(
             &format!("run_planned_supervised threads={threads}"),
             &baseline,
             |control, token, k| {
@@ -288,30 +264,6 @@ fn resume_is_bit_identical_on_every_code_domain_engine() {
     );
 
     for threads in [1usize, 4] {
-        interrupt_resume_bit_identity(
-            &format!("run_batched_quantized_supervised threads={threads}"),
-            &baseline,
-            |control, token, k| {
-                let calls = AtomicUsize::new(0);
-                engine
-                    .run_batched_quantized_supervised(
-                        || quantized_net(9),
-                        fault,
-                        &x,
-                        |out: &Tensor| {
-                            let v = out.sum();
-                            if calls.fetch_add(1, Ordering::Relaxed) + 1 >= k {
-                                token.cancel();
-                            }
-                            Ok(v)
-                        },
-                        5,
-                        threads,
-                        control,
-                    )
-                    .unwrap()
-            },
-        );
         interrupt_resume_bit_identity(
             &format!("run_planned_quantized_supervised threads={threads}"),
             &baseline,
@@ -561,12 +513,10 @@ fn mismatched_checkpoints_are_rejected_with_typed_faults() {
 
     // Wrong engine → engine mismatch.
     let err = engine
-        .run_batched_supervised(
+        .run_parallel_supervised(
             || mlp(17),
             fault,
-            &x,
-            metric,
-            5,
+            |m: &mut Sequential| Ok(m.forward(&x, Mode::Eval)?.sum()),
             2,
             &SweepControl::new().with_resume(checkpoint.clone()),
         )
@@ -943,7 +893,7 @@ fn telemetry_counts_cancelled_quarantined_and_resumed_runs() {
     let calls = AtomicUsize::new(0);
     let control = SweepControl::new().with_budget(RunBudget::unbounded().with_token(&token));
     let outcome = engine
-        .run_batched_supervised(
+        .run_planned_batched_supervised(
             || mlp(23),
             fault,
             &x,
@@ -964,7 +914,7 @@ fn telemetry_counts_cancelled_quarantined_and_resumed_runs() {
     assert!(accounted > 0);
     let skips_before = Telemetry::counter(Counter::ResumeSkips);
     let resumed = engine
-        .run_batched_supervised(
+        .run_planned_batched_supervised(
             || mlp(23),
             fault,
             &x,

@@ -375,9 +375,6 @@ fn engine_ladder_is_internally_bit_identical_under_each_forced_tier() {
                 3,
             )
             .unwrap();
-        let batched = engine
-            .run_batched(|| cnn(23), fault, &x, metric, 4, 2)
-            .unwrap();
         let planned = engine
             .run_planned(|| cnn(23), fault, &x, metric, 2)
             .unwrap();
@@ -388,7 +385,6 @@ fn engine_ladder_is_internally_bit_identical_under_each_forced_tier() {
         for (name, s) in [
             ("run", &sequential),
             ("run_parallel", &parallel),
-            ("run_batched", &batched),
             ("run_planned", &planned),
             ("run_planned_batched", &fused),
         ] {
@@ -403,7 +399,6 @@ fn engine_ladder_is_internally_bit_identical_under_each_forced_tier() {
         // counts included) produces bit-identical per-run metrics.
         for (name, s) in [
             ("run_parallel", &parallel),
-            ("run_batched", &batched),
             ("run_planned", &planned),
             ("run_planned_batched", &fused),
         ] {

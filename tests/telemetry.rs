@@ -144,7 +144,7 @@ fn telemetry_is_bit_invisible_on_all_five_engines() {
     for fault in all_faults() {
         // One pass per engine with telemetry disabled, then the exact same
         // simulation instrumented; per-run metrics must match bit for bit.
-        let mut results: [Option<[Vec<f32>; 5]>; 2] = [None, None];
+        let mut results: [Option<[Vec<f32>; 4]>; 2] = [None, None];
         for (slot, enabled) in [(0usize, false), (1usize, true)] {
             if enabled {
                 Telemetry::reset();
@@ -167,9 +167,6 @@ fn telemetry_is_bit_invisible_on_all_five_engines() {
                     2,
                 )
                 .unwrap();
-            let batched = engine
-                .run_batched(|| cnn(23), fault, &x, metric, 4, 2)
-                .unwrap();
             let planned = engine
                 .run_planned(|| cnn(23), fault, &x, metric, 2)
                 .unwrap();
@@ -181,7 +178,6 @@ fn telemetry_is_bit_invisible_on_all_five_engines() {
             results[slot] = Some([
                 sequential.per_run,
                 parallel.per_run,
-                batched.per_run,
                 planned.per_run,
                 fused.per_run,
             ]);
@@ -191,15 +187,9 @@ fn telemetry_is_bit_invisible_on_all_five_engines() {
         }
         let [baseline, instrumented] = results;
         let (baseline, instrumented) = (baseline.unwrap(), instrumented.unwrap());
-        for (i, name) in [
-            "run",
-            "run_parallel",
-            "run_batched",
-            "run_planned",
-            "run_planned_batched",
-        ]
-        .iter()
-        .enumerate()
+        for (i, name) in ["run", "run_parallel", "run_planned", "run_planned_batched"]
+            .iter()
+            .enumerate()
         {
             assert_bits_equal(&baseline[i], &instrumented[i], &format!("{name} {fault:?}"));
         }
@@ -338,10 +328,10 @@ fn ladder_outcome_display_reports_engine_and_fallbacks() {
     assert!(rendered.contains("4 runs"), "{rendered}");
     // And a synthetic fallback renders with its reason.
     let step = FallbackStep {
-        engine: EngineKind::Batched,
+        engine: EngineKind::Parallel,
         reason: invnorm_imc::FallbackReason::Lifetime,
     };
     let line = step.to_string();
-    assert!(line.contains("run_batched"), "{line}");
+    assert!(line.contains("run_parallel"), "{line}");
     assert!(line.contains("lifetime"), "{line}");
 }
