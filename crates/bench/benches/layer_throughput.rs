@@ -105,9 +105,9 @@ fn bench_gemm(c: &mut Criterion) {
         bch.iter(|| ops::reference::matmul_a_bt(&x, &w).unwrap().sum())
     });
 
-    // Conv forward: the Eval path (implicit GEMM: patches gathered straight
-    // into the blocked GEMM's packed panels) against an im2col +
-    // naive-matmul composition.
+    // Conv forward: the Eval path (channel-major implicit GEMM: receptive
+    // fields gathered straight into the blocked GEMM's packed B panel, the
+    // result stored in NCHW) against an im2col + naive-matmul composition.
     let conv_input = Tensor::randn(&[4, 16, 32, 32], 0.0, 1.0, &mut rng);
     let mut conv = Conv2d::new(16, 32, 3, 1, 1, &mut rng);
     group.bench_function("conv2d_forward_eval_16to32_32x32", |bch| {

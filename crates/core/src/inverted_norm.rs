@@ -258,14 +258,20 @@ impl Layer for InvertedNorm {
             }
         }
         let output = Tensor::from_vec(out, input.dims())?;
-        self.cache = Some(ForwardCache {
-            input: input.clone(),
-            normalized: output.clone(),
-            gamma_eff,
-            masks,
-            inv_std: inv_stds,
-            input_dims: input.dims().to_vec(),
-        });
+        // Only training forwards are followed by a backward pass; an eval
+        // forward keeps no copies and clears any stale training cache.
+        self.cache = if mode.is_train() {
+            Some(ForwardCache {
+                input: input.clone(),
+                normalized: output.clone(),
+                gamma_eff,
+                masks,
+                inv_std: inv_stds,
+                input_dims: input.dims().to_vec(),
+            })
+        } else {
+            None
+        };
         Ok(output)
     }
 
@@ -606,6 +612,20 @@ mod tests {
             .unwrap()
             .backward(&Tensor::zeros(&[3, 5]))
             .is_err());
+    }
+
+    #[test]
+    fn eval_forward_keeps_no_backward_state() {
+        let mut rng = Rng::seed_from(12);
+        let mut layer = InvertedNorm::new(4, &InvNormConfig::default(), &mut rng).unwrap();
+        let x = Tensor::randn(&[2, 4, 3], 0.0, 1.0, &mut rng);
+        layer.forward(&x, Mode::Train).unwrap();
+        // The eval forward clears the training cache rather than refreshing it.
+        layer.forward(&x, Mode::Eval).unwrap();
+        assert!(matches!(
+            layer.backward(&Tensor::ones(x.dims())),
+            Err(NnError::BackwardBeforeForward(_))
+        ));
     }
 
     #[test]

@@ -335,15 +335,19 @@ impl SweepCheckpoint {
             }
         };
         let fault_label = r.str()?;
+        // Counts come from the file: reserve no more entries than the rest
+        // of the payload can hold (8 bytes per completed run, at least 9 per
+        // quarantined one), so a forged count fails as truncation instead of
+        // reserving gigabytes.
         let n_completed = r.u32()? as usize;
-        let mut completed = Vec::with_capacity(n_completed.min(runs));
+        let mut completed = Vec::with_capacity(n_completed.min(runs).min(r.remaining() / 8));
         for _ in 0..n_completed {
             let run = r.u32()? as usize;
             let metric = f32::from_bits(r.u32()?);
             completed.push((run, metric));
         }
         let n_quarantined = r.u32()? as usize;
-        let mut quarantined = Vec::with_capacity(n_quarantined.min(runs));
+        let mut quarantined = Vec::with_capacity(n_quarantined.min(runs).min(r.remaining() / 9));
         for _ in 0..n_quarantined {
             let run = r.u32()? as usize;
             let cause = match r.u8()? {
@@ -686,6 +690,11 @@ impl<'a> Reader<'a> {
         Self { bytes, pos: 0 }
     }
 
+    /// Unread payload bytes.
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         let available = self.bytes.len() - self.pos;
         if available < n {
@@ -807,6 +816,30 @@ mod tests {
                 got: 9
             }))
         ));
+    }
+
+    #[test]
+    fn forged_counts_fail_typed_without_reserving_them() {
+        // A well-framed payload claiming u32::MAX runs, completed and
+        // quarantined entries, with no entries behind the counts.
+        for quarantine in [false, true] {
+            let mut payload = Vec::new();
+            payload.extend_from_slice(&7u64.to_le_bytes());
+            push_u32(&mut payload, u32::MAX); // runs
+            payload.push(engine_tag(EngineKind::Sequential));
+            payload.push(0); // weights domain
+            push_str(&mut payload, "forged");
+            if quarantine {
+                push_u32(&mut payload, 0); // no completed runs
+            }
+            push_u32(&mut payload, u32::MAX);
+            let bytes = frame(payload, SweepCheckpoint::MAGIC, SweepCheckpoint::VERSION);
+            let err = SweepCheckpoint::from_bytes(&bytes).unwrap_err();
+            assert!(
+                matches!(err, NnError::Checkpoint(CheckpointFault::Truncated { .. })),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]

@@ -251,8 +251,11 @@ impl Hardtanh {
 }
 
 impl Layer for Hardtanh {
-    fn forward(&mut self, input: &Tensor, _mode: Mode) -> Result<Tensor> {
-        self.mask = Some(input.data().iter().map(|&x| x.abs() <= 1.0).collect());
+    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
+        // The straight-through mask only serves a following backward pass.
+        self.mask = mode
+            .is_train()
+            .then(|| input.data().iter().map(|&x| x.abs() <= 1.0).collect());
         let mut out = input.clone();
         vecmath::hardtanh(input.data(), out.data_mut());
         Ok(out)
@@ -301,8 +304,11 @@ impl SignSte {
 }
 
 impl Layer for SignSte {
-    fn forward(&mut self, input: &Tensor, _mode: Mode) -> Result<Tensor> {
-        self.mask = Some(input.data().iter().map(|&x| x.abs() <= 1.0).collect());
+    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
+        // The straight-through mask only serves a following backward pass.
+        self.mask = mode
+            .is_train()
+            .then(|| input.data().iter().map(|&x| x.abs() <= 1.0).collect());
         let mut out = input.clone();
         vecmath::sign_ste(input.data(), out.data_mut());
         Ok(out)
@@ -409,6 +415,20 @@ mod tests {
             .backward(&Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0], &[5]).unwrap())
             .unwrap();
         assert_eq!(g.data(), &[0.0, 2.0, 3.0, 4.0, 0.0]);
+    }
+
+    #[test]
+    fn sign_ste_eval_forward_keeps_no_backward_state() {
+        let mut act = SignSte::new();
+        let x = Tensor::from_vec(vec![-2.0, 0.3], &[2]).unwrap();
+        act.forward(&x, Mode::Train).unwrap();
+        // An eval forward drops the training mask instead of replacing it.
+        let y = act.forward(&x, Mode::Eval).unwrap();
+        assert_eq!(y.data(), &[-1.0, 1.0]);
+        assert!(matches!(
+            act.backward(&Tensor::ones(&[2])),
+            Err(NnError::BackwardBeforeForward("SignSte"))
+        ));
     }
 
     #[test]

@@ -14,13 +14,15 @@ use invnorm_tensor::{ArenaSlot, Rng, Scratch, Tensor};
 ///
 /// Kaiming-uniform initialization, square kernels, symmetric padding.
 ///
-/// Evaluation-mode forwards run through the implicit-GEMM path
-/// ([`conv::conv2d_forward_with_scratch`]): receptive fields are gathered
-/// straight into the GEMM's packed panels, so no patch matrix is built, and
-/// the GEMM staging buffer is reused across calls — what the Monte-Carlo
-/// fault-simulation hot loop repeatedly exercises. Training-mode forwards
-/// materialize the im2col patch matrix and retain it for the backward pass
-/// (the weight gradient needs it); both modes give bit-identical outputs.
+/// Evaluation-mode forwards run through the channel-major implicit-GEMM
+/// path ([`conv::conv2d_forward_with_scratch`]): per image, the packed
+/// weights multiply receptive fields gathered straight into the GEMM's B
+/// panel, and the result lands in the NCHW output in place, so no patch
+/// matrix or staging buffer is built and the packing buffers are reused
+/// across calls — what the Monte-Carlo fault-simulation hot loop repeatedly
+/// exercises. Training-mode forwards materialize the im2col patch matrix and
+/// retain it for the backward pass (the weight gradient needs it); both
+/// modes give bit-identical outputs.
 #[derive(Debug)]
 pub struct Conv2d {
     in_channels: usize,

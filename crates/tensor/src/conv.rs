@@ -4,15 +4,25 @@
 //! 2-D activations are `[N, C, H, W]`, 1-D activations are `[N, C, L]`,
 //! 2-D kernels are `[OutC, InC, KH, KW]` and 1-D kernels are `[OutC, InC, K]`.
 //!
-//! Inference ([`conv2d_forward_with_scratch`], and the compiled plans of
-//! `invnorm_nn`) uses the *implicit* lowering: the GEMM reads its A operand
-//! through [`ASource::patches`] and gathers every receptive-field patch
-//! straight into its packed strips, so no `[N·OH·OW, C·KH·KW]` patch matrix
-//! is ever materialized. The explicit [`im2col`]/[`col2im`] pair remains for
-//! training ([`conv2d_forward`]), whose weight gradient needs the patch
-//! matrix — the only f32 caller — and for the i8 quantized path
-//! ([`im2col_codes_into`], [`im2col_slice_into`]). Both lowerings pack
-//! identical bytes, so their results are bit-identical.
+//! Inference uses *implicit* lowerings, which never materialize the
+//! `[N·OH·OW, C·KH·KW]` patch matrix:
+//!
+//! * the eval convolution ([`conv2d_forward_with_scratch`], which `Conv1d`
+//!   reaches through its lift) is *channel-major*: per image,
+//!   `out (OC × OH·OW) = W (OC × C·KH·KW) · patchesᵀ`. The weights are the
+//!   GEMM's A operand, packed once per call; each image's receptive fields
+//!   are gathered straight into the B panel, and the result is stored in
+//!   place in the image's NCHW slice, so there is no re-layout pass. Images
+//!   are split across the pool's workers;
+//! * the compiled plans of `invnorm_nn` keep the patch rows as the A operand
+//!   ([`ASource::patches`]), because their stacked wide GEMM puts
+//!   `stack · OC` columns on the n side.
+//!
+//! The explicit [`im2col`]/[`col2im`] pair remains for training
+//! ([`conv2d_forward`]), whose weight gradient needs the patch matrix — the
+//! only f32 caller — and for the i8 quantized path ([`im2col_codes_into`],
+//! [`im2col_slice_into`]). Every lowering computes each output element as
+//! the same accumulation chain, so their results are bit-identical.
 //!
 //! Both the forward products and the three gradient products needed for a
 //! hand-written backward pass (`∂L/∂input`, `∂L/∂weight`, `∂L/∂bias`) are
@@ -20,7 +30,7 @@
 //! with height 1 so there is a single, well-tested code path.
 
 use crate::error::TensorError;
-use crate::gemm::{gemm_from, ASource, PatchView};
+use crate::gemm::{conv_channel_major, ASource, PatchView};
 use crate::ops;
 use crate::scratch::{uninit_slice, Scratch};
 use crate::telemetry;
@@ -234,6 +244,14 @@ impl<'a> ASource<'a> {
     /// Returns an error when `dims` is not rank-4, `data` does not hold
     /// `N·C·H·W` elements or the geometry is invalid.
     pub fn patches(data: &'a [f32], dims: &[usize], spec: &Conv2dSpec) -> Result<Self> {
+        Ok(Self::Patches(PatchView::new(data, dims, spec)?))
+    }
+}
+
+impl<'a> PatchView<'a> {
+    /// Validates an `[N, C, H, W]` activation and `spec` (see
+    /// [`ASource::patches`]).
+    fn new(data: &'a [f32], dims: &[usize], spec: &Conv2dSpec) -> Result<Self> {
         let shape = conv_out_shape(dims, spec)?;
         if data.len() != dims.iter().product::<usize>() {
             return Err(TensorError::ShapeMismatch {
@@ -241,11 +259,11 @@ impl<'a> ASource<'a> {
                 rhs: vec![data.len()],
             });
         }
-        Ok(Self::Patches(PatchView {
+        Ok(Self {
             data,
             shape,
             spec: *spec,
-        }))
+        })
     }
 }
 
@@ -452,15 +470,20 @@ pub fn conv2d_forward(
     })
 }
 
-/// 2-D convolution forward pass for inference: the implicit-GEMM lowering.
+/// 2-D convolution forward pass for inference: the channel-major
+/// implicit-GEMM lowering.
 ///
-/// Same math as [`conv2d_forward`], and bit-identical to it, but no patch
-/// matrix is built: the GEMM gathers each receptive field from `input`
-/// straight into its packed A strips ([`ASource::patches`]), inside the
-/// parallel row-block workers for large products. The GEMM staging buffer
-/// lives in the caller's [`Scratch`] (the packing buffers in a thread-local
-/// one), so steady-state calls only allocate the returned output tensor.
-/// Use [`conv2d_forward`] when a backward pass will follow.
+/// Same math as [`conv2d_forward`], and bit-identical to it on every kernel
+/// tier and thread count, but no patch matrix is built and nothing is
+/// re-laid out. Per image the product is `out[n] (OC × OH·OW) =
+/// W (OC × C·KH·KW) · patchesᵀ[n]`: the weights are packed once per call and
+/// shared by all images, each image's receptive fields are gathered from
+/// `input` straight into the GEMM's packed B panel, and the microkernel
+/// stores into the image's slice of the NCHW output, bias added in place.
+/// Large batches split their images across the pool's workers. The packed
+/// weights and the calling thread's B panel live in `scratch` (workers use
+/// thread-local panels), so steady-state calls only allocate the returned
+/// output tensor. Use [`conv2d_forward`] when a backward pass will follow.
 ///
 /// # Errors
 ///
@@ -474,21 +497,16 @@ pub fn conv2d_forward_with_scratch(
     scratch: &mut Scratch,
 ) -> Result<Tensor> {
     let (shape, oc) = conv_geometry(input.dims(), weight.dims(), bias, spec)?;
-    let patches = ASource::patches(input.data(), input.dims(), spec)?;
-    // [rows, patch] @ [oc, patch]ᵀ -> [rows, oc]
-    let out_mat = uninit_slice(&mut scratch.out_mat, shape.rows * oc);
-    gemm_from(
-        patches,
-        true,
-        shape.rows,
-        oc,
-        shape.patch,
-        1.0,
+    let view = PatchView::new(input.data(), input.dims(), spec)?;
+    let mut out = vec![0.0f32; shape.output_dims(oc).iter().product()];
+    conv_channel_major(
+        &view,
         weight.data(),
-        0.0,
-        out_mat,
+        oc,
+        bias.map(Tensor::data),
+        &mut out,
+        scratch,
     );
-    let out = relayout_nchw(out_mat, bias, shape.n, oc, shape.oh, shape.ow);
     Tensor::from_vec(out, &shape.output_dims(oc))
 }
 
@@ -1002,20 +1020,37 @@ mod tests {
 
     #[test]
     fn scratch_forward_matches_allocating_forward() {
+        // Bitwise: the channel-major eval lowering against the training
+        // lowering. `(n, c, h, w, oc, kernel, stride, pad)`: stride 1/2, pad
+        // 0/1, N = 1, OH·OW > NC, C·KH·KW > KC, out-channel counts that are
+        // multiples of no tier's mr, and a batch above the parallel
+        // threshold (images split across the pool's workers).
         let mut rng = Rng::seed_from(10);
         let mut scratch = Scratch::new();
-        for &(stride, pad) in &[(1usize, 0usize), (1, 1), (2, 1)] {
-            let spec = Conv2dSpec::new(3, stride, pad);
-            let input = Tensor::randn(&[2, 3, 7, 7], 0.0, 1.0, &mut rng);
-            let weight = Tensor::randn(&[5, 3, 3, 3], 0.0, 0.5, &mut rng);
-            let bias = Tensor::randn(&[5], 0.0, 0.5, &mut rng);
-            let reference = conv2d_forward(&input, &weight, Some(&bias), &spec)
-                .unwrap()
-                .output;
-            let got =
-                conv2d_forward_with_scratch(&input, &weight, Some(&bias), &spec, &mut scratch)
+        for &(n, c, h, w, oc, kernel, stride, pad) in &[
+            (2usize, 3, 7, 7, 5, 3, 1, 0),
+            (2, 3, 7, 7, 5, 3, 1, 1),
+            (2, 3, 7, 7, 5, 3, 2, 1),
+            (1, 3, 20, 20, 7, 3, 1, 1),
+            (2, 32, 9, 9, 17, 3, 1, 1),
+            (16, 8, 16, 16, 8, 3, 1, 1),
+        ] {
+            let spec = Conv2dSpec::new(kernel, stride, pad);
+            let input = Tensor::randn(&[n, c, h, w], 0.0, 1.0, &mut rng);
+            let weight = Tensor::randn(&[oc, c, kernel, kernel], 0.0, 0.5, &mut rng);
+            let bias = Tensor::randn(&[oc], 0.0, 0.5, &mut rng);
+            for bias in [Some(&bias), None] {
+                let reference = conv2d_forward(&input, &weight, bias, &spec).unwrap().output;
+                let got = conv2d_forward_with_scratch(&input, &weight, bias, &spec, &mut scratch)
                     .unwrap();
-            assert!(got.approx_eq(&reference, 1e-5), "stride {stride} pad {pad}");
+                assert_eq!(got.dims(), reference.dims());
+                let same = got
+                    .data()
+                    .iter()
+                    .zip(reference.data())
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(same, "{:?} oc={oc} stride {stride} pad {pad}", input.dims());
+            }
         }
     }
 

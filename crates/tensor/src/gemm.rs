@@ -26,15 +26,21 @@
 //! dense (optionally transposed) matrix, or the *implicit* im2col matrix of
 //! an NCHW activation, whose patch rows are gathered straight into the
 //! packed strips without ever materializing the patch matrix (the implicit
-//! lowering of cuDNN, Chetlur et al., arXiv:1410.0759). Packing buffers come from a caller-supplied
-//! [`Scratch`] (or a thread-local one for the convenience entry point), so
-//! steady-state calls allocate nothing.
+//! lowering of cuDNN, Chetlur et al., arXiv:1410.0759). The eval
+//! convolution runs the transposed product instead (`conv_channel_major`):
+//! the weights are packed as A, and a B-side packer gathers each image's
+//! receptive fields into the B panel, output pixels along the strip, so the
+//! tiles fill along the large pixel dimension and store straight into NCHW.
+//! Packing buffers come from a caller-supplied [`Scratch`] (or a
+//! thread-local one for the convenience entry point), so steady-state calls
+//! allocate nothing.
 //!
-//! Large products are parallelized over [`MC`]-row blocks with rayon: worker
-//! threads claim row blocks from an atomic counter (work stealing) and each
-//! element of C is written by exactly one worker with a fixed, sequential
-//! k-accumulation order — results are therefore **bit-identical** for every
-//! thread count and schedule. Across kernel tiers, the AVX2 and AVX-512
+//! Large products are parallelized over [`MC`]-row blocks with rayon (the
+//! eval convolution: over images): worker threads claim blocks from an
+//! atomic counter (work stealing) and each element of C is written by
+//! exactly one worker with a fixed, sequential k-accumulation order —
+//! results are therefore **bit-identical** for every thread count and
+//! schedule. Across kernel tiers, the AVX2 and AVX-512
 //! kernels share the same per-element FMA accumulation order and produce
 //! bit-identical results; only the portable tier (separate multiply + add
 //! roundings) diverges. The active tier is thus the sole reproducibility
@@ -68,6 +74,10 @@ const MAX_TILE: usize = 14 * 32;
 /// Rows in the tallest microkernel tile (AVX-512's 14); sizes the per-strip
 /// stack tables of the implicit im2col packer.
 const MAX_MR: usize = 14;
+
+/// Columns in the widest microkernel tile (AVX-512's 32); sizes the
+/// per-strip run tables of the B-side patch packer.
+const MAX_NR: usize = 32;
 
 /// A microkernel: computes the full `mr × nr` register tile over one packed
 /// k-panel and writes it row-major (leading dimension `nr`) into `acc`,
@@ -198,9 +208,9 @@ thread_local! {
 /// backward passes fuse their `+=` instead of allocating a temporary.
 ///
 /// Packing buffers are borrowed from a thread-local [`Scratch`]; use
-/// [`gemm_with_scratch`] to supply your own. Large products run in parallel;
-/// results are bit-identical for every thread count. [`gemm_from`] is the
-/// same product over any [`ASource`].
+/// [`gemm_with_scratch`] to supply your own (or to read `op(A)` from any
+/// [`ASource`]). Large products run in parallel; results are bit-identical
+/// for every thread count.
 ///
 /// # Panics
 ///
@@ -218,39 +228,7 @@ pub fn gemm(
     beta: f32,
     c: &mut [f32],
 ) {
-    gemm_from(
-        ASource::matrix(trans_a, a),
-        trans_b,
-        m,
-        n,
-        k,
-        alpha,
-        b,
-        beta,
-        c,
-    );
-}
-
-/// [`gemm`] with `op(A)` read from an [`ASource`]. For
-/// [`ASource::Patches`] this is the implicit-GEMM convolution: patches are
-/// gathered from the activation inside the packing step (in parallel, by the
-/// row-block workers, for large products).
-///
-/// # Panics
-///
-/// Panics when a slice length disagrees with the given dimensions.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_from(
-    a: ASource<'_>,
-    trans_b: bool,
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f32,
-    b: &[f32],
-    beta: f32,
-    c: &mut [f32],
-) {
+    let a = ASource::matrix(trans_a, a);
     let _span = telemetry::span(telemetry::Phase::Gemm);
     check_dims(&a, m, n, k, b, c);
     if m == 0 || n == 0 {
@@ -284,8 +262,8 @@ pub fn gemm_from(
     }
 }
 
-/// Single-threaded [`gemm_from`] with an explicit packing workspace, for
-/// callers that manage buffer reuse themselves (layers, the conv path).
+/// Single-threaded [`gemm`] over any [`ASource`] with an explicit packing
+/// workspace, for callers that manage buffer reuse themselves.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_with_scratch(
     a: ASource<'_>,
@@ -304,7 +282,7 @@ pub fn gemm_with_scratch(
     gemm_with_scratch_impl(&kern, a, trans_b, m, n, k, alpha, b, beta, c, scratch);
 }
 
-/// Shared body of [`gemm_from`]'s single-threaded path and
+/// Shared body of [`gemm`]'s single-threaded path and
 /// [`gemm_with_scratch`], so each public entry opens exactly one telemetry
 /// span.
 #[allow(clippy::too_many_arguments)]
@@ -417,11 +395,13 @@ fn gemm_parallel(
 }
 
 /// Raw pointer wrapper so scoped workers can share the output buffer; safety
-/// rests on the disjoint row-block claim discipline in [`gemm_parallel`].
+/// rests on the disjoint claim discipline in [`gemm_parallel`] (row blocks)
+/// and `conv_images` (images).
 struct SendPtr(*mut f32);
 // SAFETY: SendPtr is only handed to scoped workers that write disjoint
-// row blocks of C (each `mc` block is claimed by exactly one worker via the
-// fetch_add ticket in `gemm_parallel`), so concurrent access never aliases.
+// parts of the output (each `mc` row block in `gemm_parallel`, each image's
+// NCHW slice in `conv_images`, is claimed by exactly one worker via a
+// fetch_add ticket), so concurrent access never aliases.
 unsafe impl Send for SendPtr {}
 unsafe impl Sync for SendPtr {}
 
@@ -486,12 +466,19 @@ impl PackedA {
     ///
     /// Panics when the source disagrees with `m × k`.
     pub fn pack(&mut self, a: ASource<'_>, m: usize, k: usize) {
+        let _span = telemetry::span(telemetry::Phase::Pack);
         self.pack_for(dispatch::active(), a, m, k);
     }
 
-    /// [`PackedA::pack`] for an explicit kernel tier's strip layout.
+    /// Elements of packing storage currently held.
+    pub(crate) fn capacity(&self) -> usize {
+        self.buf.capacity()
+    }
+
+    /// [`PackedA::pack`] for an explicit kernel tier's strip layout, without
+    /// a telemetry span (the channel-major convolution packs its weights
+    /// inside its own `Gemm` span).
     fn pack_for(&mut self, tier: KernelTier, a: ASource<'_>, m: usize, k: usize) {
-        let _span = telemetry::span(telemetry::Phase::Pack);
         a.check(m, k);
         self.m = m;
         self.k = k;
@@ -841,6 +828,172 @@ pub fn gemm_prepacked_ab(
     }
 }
 
+/// Channel-major implicit-GEMM convolution, the eval path of
+/// [`crate::conv::conv2d_forward_with_scratch`]: for every image `i` of
+/// `view`, `out[i] (OC × OH·OW) = W (OC × C·KH·KW) · patchesᵀ[i]`, plus the
+/// per-channel bias, written straight into the image's slice of the NCHW
+/// output `out`.
+///
+/// `weight` is the `[OC, C·KH·KW]` kernel matrix. It is packed once per call
+/// into `scratch`'s [`PackedA`] and shared by every image, whose receptive
+/// fields [`pack_b_patches`] gathers straight into the B panel. When the
+/// product is large enough, pool workers claim whole images from an atomic
+/// counter and pack into their thread-local buffers; otherwise the calling
+/// thread runs every image with `scratch`'s B panel. Either way steady-state
+/// calls allocate nothing.
+///
+/// Bit-identical to the GEMM over the materialized im2col matrix followed by
+/// the NCHW re-layout (`conv2d_forward`), for every thread count: each output
+/// element is the same accumulation chain over k = (c, ky, kx), in the same
+/// order and with the same [`KC`] split — the operands only swap sides, and
+/// `a·b == b·a` — and the bias is added last, as the re-layout did.
+///
+/// # Panics
+///
+/// Panics when `weight`, `bias` or `out` disagree with the geometry.
+pub(crate) fn conv_channel_major(
+    view: &PatchView<'_>,
+    weight: &[f32],
+    oc: usize,
+    bias: Option<&[f32]>,
+    out: &mut [f32],
+    scratch: &mut Scratch,
+) {
+    let _span = telemetry::span(telemetry::Phase::Gemm);
+    let ConvShape { n, patch: k, .. } = view.shape;
+    let Scratch {
+        packed_b,
+        padded,
+        conv_weights,
+        ..
+    } = scratch;
+    conv_weights.pack_for(dispatch::active(), ASource::Rows(weight), oc, k);
+    let pixels = view.shape.oh * view.shape.ow;
+    let workers = if n * oc * pixels * k >= PARALLEL_FLOP_THRESHOLD {
+        rayon::current_num_threads().min(n)
+    } else {
+        1
+    };
+    conv_images(view, conv_weights, bias, out, packed_b, padded, workers);
+}
+
+/// Runs every image of [`conv_channel_major`] against the packed weights,
+/// on the calling thread (`workers <= 1`, packing into `packed_b` and
+/// `padded`) or on `workers` pool workers that claim images from an atomic
+/// counter and pack into their thread-local buffers.
+// lint: alloc_ok(the parallel branch spawns pool tasks; every packing buffer
+// is reused — `packed_b` or the workers' thread-local scratch)
+fn conv_images(
+    view: &PatchView<'_>,
+    weights: &PackedA,
+    bias: Option<&[f32]>,
+    out: &mut [f32],
+    packed_b: &mut Vec<f32>,
+    padded: &mut Vec<f32>,
+    workers: usize,
+) {
+    let (n, oc) = (view.shape.n, weights.m);
+    let per_image = oc * view.shape.oh * view.shape.ow;
+    assert_eq!(out.len(), n * per_image, "output must hold N·OC·OH·OW");
+    assert_eq!(weights.k, view.shape.patch, "weights must be [OC, C·KH·KW]");
+    if let Some(bias) = bias {
+        assert_eq!(bias.len(), oc, "bias must hold OC elements");
+    }
+    if per_image == 0 {
+        return;
+    }
+    if workers <= 1 {
+        for (image, out_image) in out.chunks_exact_mut(per_image).enumerate() {
+            conv_image(view, image, weights, bias, out_image, packed_b, padded);
+        }
+        return;
+    }
+    let out_ptr = SendPtr(out.as_mut_ptr());
+    let next = AtomicUsize::new(0);
+    rayon::scope(|s| {
+        for _ in 0..workers {
+            let (next, out_ptr) = (&next, &out_ptr);
+            s.spawn(move || {
+                LOCAL_SCRATCH.with(|local| {
+                    let local = &mut *local.borrow_mut();
+                    loop {
+                        // Relaxed: the counter only hands out tickets; the
+                        // scope's join publishes the workers' writes.
+                        let image = next.fetch_add(1, Ordering::Relaxed);
+                        if image >= n {
+                            break;
+                        }
+                        // SAFETY: each image is claimed by exactly one
+                        // worker (atomic counter), so the NCHW slices
+                        // written here are disjoint between workers for the
+                        // lifetime of this scope, and `image < n` keeps the
+                        // slice inside `out`.
+                        let out_image = unsafe {
+                            std::slice::from_raw_parts_mut(
+                                out_ptr.0.add(image * per_image),
+                                per_image,
+                            )
+                        };
+                        conv_image(
+                            view,
+                            image,
+                            weights,
+                            bias,
+                            out_image,
+                            &mut local.packed_b,
+                            &mut local.padded,
+                        );
+                    }
+                });
+            });
+        }
+    });
+}
+
+/// One image of [`conv_channel_major`]: the `[OC, OH·OW]` product over
+/// B panels gathered from the (padded) image, stored in place, then the
+/// bias.
+fn conv_image(
+    view: &PatchView<'_>,
+    image: usize,
+    weights: &PackedA,
+    bias: Option<&[f32]>,
+    out: &mut [f32],
+    packed_b: &mut Vec<f32>,
+    padded: &mut Vec<f32>,
+) {
+    let kern = f32_kernel(weights.tier);
+    let (m, k) = (weights.m, weights.k);
+    let pixels = view.shape.oh * view.shape.ow;
+    let stride = a_block_stride(kern.mr);
+    let m_blocks = m.div_ceil(MC);
+    let padded = PaddedImage::new(view, image, padded);
+    let pb = uninit_slice(packed_b, KC * NC.min(pixels.next_multiple_of(kern.nr)));
+    for jc in (0..pixels).step_by(NC) {
+        let nc = NC.min(pixels - jc);
+        for (pi, pc) in (0..k).step_by(KC).enumerate() {
+            let kc = KC.min(k - pc);
+            pack_b_patches(kern.nr, &padded, pc, kc, jc, nc, pb);
+            let beta = if pc == 0 { 0.0 } else { 1.0 };
+            for (bi, ic) in (0..m).step_by(MC).enumerate() {
+                let mc = MC.min(m - ic);
+                let pa = &weights.buf[(pi * m_blocks + bi) * stride..];
+                block_kernel(&kern, pa, pb, out, pixels, ic, mc, jc, nc, kc, 1.0, beta);
+            }
+        }
+    }
+    if k == 0 {
+        out.fill(0.0);
+    }
+    if let Some(bias) = bias {
+        for (row, &b) in out.chunks_exact_mut(pixels).zip(bias) {
+            for v in row {
+                *v += b;
+            }
+        }
+    }
+}
+
 fn check_dims(a: &ASource<'_>, m: usize, n: usize, k: usize, b: &[f32], c: &mut [f32]) {
     a.check(m, k);
     assert_eq!(b.len(), k * n, "B must hold k*n elements");
@@ -1035,6 +1188,120 @@ fn pack_b(
                     0.0
                 };
                 dst += 1;
+            }
+        }
+    }
+}
+
+/// One image of a [`PatchView`] with its zero padding written out:
+/// `[C, H + 2·pad, W + 2·pad]`, so every tap of every receptive field is an
+/// in-bounds read and the padding taps read `0.0`, exactly what im2col
+/// writes. Unpadded convolutions borrow the image in place.
+struct PaddedImage<'a> {
+    data: &'a [f32],
+    shape: ConvShape,
+    spec: Conv2dSpec,
+}
+
+impl<'a> PaddedImage<'a> {
+    /// Image `image` of `view`, padded into `buf` when the spec pads.
+    fn new(view: &PatchView<'a>, image: usize, buf: &'a mut Vec<f32>) -> Self {
+        let PatchView { data, shape, spec } = *view;
+        let ConvShape { c, h, w, .. } = shape;
+        let input = &data[image * c * h * w..][..c * h * w];
+        if spec.pad == 0 {
+            return Self {
+                data: input,
+                shape,
+                spec,
+            };
+        }
+        let (hp, wp) = (h + 2 * spec.pad, w + 2 * spec.pad);
+        let padded = uninit_slice(buf, c * hp * wp);
+        padded.fill(0.0);
+        for ci in 0..c {
+            for y in 0..h {
+                padded[(ci * hp + y + spec.pad) * wp + spec.pad..][..w]
+                    .copy_from_slice(&input[(ci * h + y) * w..][..w]);
+            }
+        }
+        Self {
+            data: padded,
+            shape,
+            spec,
+        }
+    }
+}
+
+/// [`pack_b`] over the transposed implicit im2col matrix of one image —
+/// `op(B)` is `[C·KH·KW, OH·OW]`, column `j` the receptive field of output
+/// pixel `j` — so the packed bytes equal [`pack_b`] over the materialized
+/// im2colᵀ. The B-side counterpart of [`pack_a_patches`].
+///
+/// A strip's nr columns are consecutive output pixels, so they split into
+/// runs along `ox`, one per output row the strip touches; the runs' offsets
+/// in the padded image are decoded once per strip into stack tables. Per tap
+/// `(c, ky, kx)`, each run is then one read of a padded input row: a
+/// contiguous copy for stride 1, a strided gather otherwise.
+#[allow(clippy::too_many_arguments)]
+fn pack_b_patches(
+    nr: usize,
+    image: &PaddedImage<'_>,
+    pc: usize,
+    kc: usize,
+    jc: usize,
+    nc: usize,
+    packed: &mut [f32],
+) {
+    let PaddedImage { data, shape, spec } = *image;
+    let (kh, kw, stride) = (spec.kh, spec.kw, spec.stride);
+    let (hp, wp) = (shape.h + 2 * spec.pad, shape.w + 2 * spec.pad);
+    let ow = shape.ow;
+    assert!(nr <= MAX_NR, "strip width exceeds the packer's tables");
+    // Per run: padded offset of its first pixel's top-left tap, its length
+    // and its offset in the strip.
+    let mut origin = [0usize; MAX_NR];
+    let mut len = [0usize; MAX_NR];
+    let mut at = [0usize; MAX_NR];
+    let mut dst = 0;
+    for jr in (0..nc).step_by(nr) {
+        let cols = nr.min(nc - jr);
+        let mut runs = 0;
+        let mut j = 0;
+        while j < cols {
+            let (oy, ox) = ((jc + jr + j) / ow, (jc + jr + j) % ow);
+            origin[runs] = (oy * wp + ox) * stride;
+            len[runs] = (ow - ox).min(cols - j);
+            at[runs] = j;
+            j += len[runs];
+            runs += 1;
+        }
+        let (mut ci, tap) = (pc / (kh * kw), pc % (kh * kw));
+        let (mut ky, mut kx) = (tap / kw, tap % kw);
+        for _ in 0..kc {
+            let strip = &mut packed[dst..dst + nr];
+            let offset = (ci * hp + ky) * wp + kx;
+            for r in 0..runs {
+                let run = &mut strip[at[r]..][..len[r]];
+                let src = &data[origin[r] + offset..];
+                if stride == 1 {
+                    run.copy_from_slice(&src[..len[r]]);
+                } else {
+                    for (d, &v) in run.iter_mut().zip(src.iter().step_by(stride)) {
+                        *d = v;
+                    }
+                }
+            }
+            strip[cols..].fill(0.0);
+            dst += nr;
+            kx += 1;
+            if kx == kw {
+                kx = 0;
+                ky += 1;
+                if ky == kh {
+                    ky = 0;
+                    ci += 1;
+                }
             }
         }
     }
@@ -1807,7 +2074,9 @@ mod tests {
     /// implicit-packer tests: odd channel and spatial sizes, 1×1/3×3/5×5
     /// kernels, stride 1/2, pad 0/1/2, the `h = 1` Conv1d lift, row counts
     /// that are multiples of neither any tier's `mr` nor `MC`, and
-    /// `C·KH·KW > KC` (a patch crossing a k-panel), plus random draws.
+    /// `C·KH·KW > KC` (a patch crossing a k-panel), plus random draws; then
+    /// images with more output pixels than [`NC`] (one image spans several
+    /// B panels), one of them with `C·KH·KW > KC` too.
     fn patch_geometries() -> Vec<[usize; 8]> {
         let mut geoms = vec![
             [1, 1, 1, 1, 1, 1, 1, 0],
@@ -1853,7 +2122,34 @@ mod tests {
                 geoms.push(g);
             }
         }
+        geoms.extend([
+            [1, 3, 20, 20, 3, 3, 1, 1],
+            [2, 32, 17, 17, 3, 3, 1, 1],
+            [1, 2, 41, 29, 3, 3, 2, 2],
+        ]);
         geoms
+    }
+
+    /// The activation view inside a patch source.
+    fn view_of(source: ASource<'_>) -> PatchView<'_> {
+        match source {
+            ASource::Patches(view) => view,
+            _ => unreachable!("not a patch source"),
+        }
+    }
+
+    /// Image `i`'s rows of an im2col matrix: its im2colᵀ, stored `[n, k]`.
+    fn image_cols<'a>(cols: &'a [f32], shape: &ConvShape, i: usize) -> &'a [f32] {
+        let per_image = shape.oh * shape.ow * shape.patch;
+        &cols[i * per_image..][..per_image]
+    }
+
+    /// The tiers this host can run microkernels for.
+    fn host_tiers() -> Vec<KernelTier> {
+        ALL_TIERS
+            .into_iter()
+            .filter(|&t| t <= dispatch::detected())
+            .collect()
     }
 
     /// An activation for geometry `g`, its im2col matrix and the spec.
@@ -1958,9 +2254,8 @@ mod tests {
 
     #[test]
     fn implicit_gemm_is_bit_identical_to_im2col_gemm() {
-        // Below and above PARALLEL_FLOP_THRESHOLD (the latter also forced
-        // through the parallel driver, whatever the pool size), and through
-        // the cached-B entry point.
+        // Through the sequential driver, the parallel one (forced, whatever
+        // the pool size) and the cached-B entry point.
         let mut rng = Rng::seed_from(0x1CE);
         let mut scratch = Scratch::new();
         let mut packed_b = PackedB::new();
@@ -1978,8 +2273,19 @@ mod tests {
             let mut want = vec![0.0f32; m * oc];
             gemm(false, true, m, oc, k, 1.0, &cols, &weight, 0.0, &mut want);
             let mut got = vec![f32::NAN; m * oc];
-            gemm_from(patches, true, m, oc, k, 1.0, &weight, 0.0, &mut got);
-            assert!(bits_equal(&want, &got), "gemm_from {g:?}");
+            gemm_with_scratch(
+                patches,
+                true,
+                m,
+                oc,
+                k,
+                1.0,
+                &weight,
+                0.0,
+                &mut got,
+                &mut scratch,
+            );
+            assert!(bits_equal(&want, &got), "sequential {g:?}");
             let kern = f32_kernel(dispatch::active());
             let mut par = vec![f32::NAN; m * oc];
             gemm_parallel(
@@ -1991,8 +2297,142 @@ mod tests {
             gemm_prepacked_b(patches, m, 1.0, &packed_b, 0.0, &mut cached, &mut scratch);
             assert!(bits_equal(&want, &cached), "prepacked_b {g:?}");
         }
-        let big = [2 * 16 * 16, 32, 16 * 9];
-        assert!(big.iter().product::<usize>() >= PARALLEL_FLOP_THRESHOLD);
+    }
+
+    #[test]
+    fn patch_panels_equal_pack_b_over_materialized_im2col_t() {
+        // Like the A-side packer test: plain Rust, so every tier's strip
+        // width is checked on any host.
+        let mut rng = Rng::seed_from(0xB5EED);
+        let mut packed = PackedB::new();
+        for g in patch_geometries() {
+            let (x, cols, shape, spec) = patch_case(g, &mut rng);
+            let (n, k) = (shape.oh * shape.ow, shape.patch);
+            let dims = [shape.n, shape.c, shape.h, shape.w];
+            let view = view_of(ASource::patches(&x, &dims, &spec).unwrap());
+            for image in 0..shape.n {
+                let b = image_cols(&cols, &shape, image);
+                let mut buf = Vec::new();
+                let padded = PaddedImage::new(&view, image, &mut buf);
+                for tier in ALL_TIERS {
+                    let nr = f32_kernel(tier).nr;
+                    let len = KC * NC.next_multiple_of(nr);
+                    let (mut want, mut got) = (vec![f32::NAN; len], vec![f32::NAN; len]);
+                    // Every (n-panel, k-panel) block the conv driver packs.
+                    for jc in (0..n).step_by(NC) {
+                        let nc = NC.min(n - jc);
+                        for pc in (0..k).step_by(KC) {
+                            let kc = KC.min(k - pc);
+                            pack_b(nr, true, b, k, n, pc, kc, jc, nc, &mut want);
+                            pack_b_patches(nr, &padded, pc, kc, jc, nc, &mut got);
+                            assert!(
+                                bits_equal(&want, &got),
+                                "{tier:?} panel {g:?} image={image} jc={jc} pc={pc}"
+                            );
+                        }
+                    }
+                    // Sub-blocks at arbitrary pixel and tap offsets.
+                    for _ in 0..8 {
+                        let jc = rng.index(n);
+                        let nc = 1 + rng.index((n - jc).min(2 * nr));
+                        let pc = rng.index(k);
+                        let kc = 1 + rng.index(KC.min(k - pc));
+                        let len = nc.next_multiple_of(nr) * kc;
+                        pack_b(nr, true, b, k, n, pc, kc, jc, nc, &mut want[..len]);
+                        pack_b_patches(nr, &padded, pc, kc, jc, nc, &mut got[..len]);
+                        assert!(
+                            bits_equal(&want[..len], &got[..len]),
+                            "{tier:?} block {g:?} image={image} jc={jc} nc={nc} pc={pc} kc={kc}"
+                        );
+                    }
+                }
+                // The cached-operand layout of the active tier, panel by panel.
+                packed.pack(true, b, k, n);
+                let nr = f32_kernel(packed.tier()).nr;
+                let mut got = vec![f32::NAN; KC * NC.next_multiple_of(nr)];
+                for (ji, jc) in (0..n).step_by(NC).enumerate() {
+                    let nc = NC.min(n - jc);
+                    for (pi, pc) in (0..k).step_by(KC).enumerate() {
+                        let kc = KC.min(k - pc);
+                        let len = nc.next_multiple_of(nr) * kc;
+                        pack_b_patches(nr, &padded, pc, kc, jc, nc, &mut got);
+                        assert!(
+                            bits_equal(&packed.panel(ji, pi)[..len], &got[..len]),
+                            "PackedB {g:?} image={image} jc={jc} pc={pc}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn channel_major_conv_is_bit_identical_to_im2col_conv() {
+        // Reference: the training lowering — GEMM over the materialized
+        // im2col matrix, then the NCHW re-layout with the bias — on the same
+        // tier, against 1, 2 and 3 image workers.
+        let mut rng = Rng::seed_from(0xC4A7);
+        let mut scratch = Scratch::new();
+        let mut weights = PackedA::new();
+        let (mut panel, mut padded) = (Vec::new(), Vec::new());
+        let out_channels = [5usize, 8, 17, 1, 16, 13, 32, 130];
+        for (gi, g) in patch_geometries().into_iter().enumerate() {
+            let oc = out_channels[gi % out_channels.len()];
+            let (x, cols, shape, spec) = patch_case(g, &mut rng);
+            let (m, k) = (shape.rows, shape.patch);
+            let view = view_of(
+                ASource::patches(&x, &[shape.n, shape.c, shape.h, shape.w], &spec).unwrap(),
+            );
+            let weight = random_vec(oc * k, &mut rng);
+            let bias = (gi % 3 != 0).then(|| random_vec(oc, &mut rng));
+            let bias_tensor = bias
+                .as_ref()
+                .map(|b| crate::tensor::Tensor::from_vec(b.clone(), &[oc]).unwrap());
+            let out_len = shape.n * oc * shape.oh * shape.ow;
+            for tier in host_tiers() {
+                let mut om = vec![0.0f32; m * oc];
+                gemm_with_scratch_impl(
+                    &f32_kernel(tier),
+                    ASource::Rows(&cols),
+                    true,
+                    m,
+                    oc,
+                    k,
+                    1.0,
+                    &weight,
+                    0.0,
+                    &mut om,
+                    &mut scratch,
+                );
+                let mut want = vec![0.0f32; out_len];
+                crate::conv::relayout_nchw_into(
+                    &om,
+                    bias_tensor.as_ref(),
+                    shape.n,
+                    oc,
+                    shape.oh,
+                    shape.ow,
+                    &mut want,
+                );
+                weights.pack_for(tier, ASource::Rows(&weight), oc, k);
+                for workers in 1..=3 {
+                    let mut got = vec![f32::NAN; out_len];
+                    conv_images(
+                        &view,
+                        &weights,
+                        bias.as_deref(),
+                        &mut got,
+                        &mut panel,
+                        &mut padded,
+                        workers,
+                    );
+                    assert!(
+                        bits_equal(&want, &got),
+                        "{tier:?} {g:?} oc={oc} workers={workers}"
+                    );
+                }
+            }
+        }
     }
 
     mod packed_b_props {

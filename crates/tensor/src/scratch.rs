@@ -12,6 +12,8 @@
 //! tensor-level entry points ([`crate::ops::matmul`] & friends) fall back to
 //! a thread-local `Scratch` so even scratch-unaware callers reuse buffers.
 
+use crate::gemm::PackedA;
+
 /// Growable, reusable workspace for GEMM packing and im2col buffers.
 ///
 /// Buffers are independent fields (rather than a keyed pool) so a kernel can
@@ -24,7 +26,8 @@ pub struct Scratch {
     pub packed_b: Vec<f32>,
     /// im2col patch matrix (`[N*OH*OW, C*KH*KW]`, row-major).
     pub cols: Vec<f32>,
-    /// GEMM output staging in matrix layout before NCHW re-layout.
+    /// GEMM result staging in matrix layout (LSTM gate pre-activations, the
+    /// convolution backward pass's `[N·OH·OW, OC]` output gradient).
     pub out_mat: Vec<f32>,
     /// Per-timestep input slice / gate staging (LSTM).
     pub step: Vec<f32>,
@@ -34,6 +37,11 @@ pub struct Scratch {
     pub packed_a_i8: Vec<i8>,
     /// Packed B-panel storage for the quantized i8 GEMM (k-quad layout).
     pub packed_b_i8: Vec<i8>,
+    /// The kernel operand of the channel-major eval convolution, packed once
+    /// per call and shared by every image.
+    pub conv_weights: PackedA,
+    /// One zero-padded input image, the eval convolution's B-packer source.
+    pub padded: Vec<f32>,
 }
 
 impl Scratch {
@@ -51,6 +59,8 @@ impl Scratch {
             + self.step.capacity()
             + self.packed_a_i8.capacity()
             + self.packed_b_i8.capacity()
+            + self.conv_weights.capacity()
+            + self.padded.capacity()
     }
 }
 
